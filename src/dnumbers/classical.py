@@ -1,22 +1,64 @@
-"""Classical two-source combination rules for complete mass assignments.
+"""Classical two-source rules, and the product kernel that every rule shares.
 
-All rules here require both operands to be complete (total mass 1); they are
-the textbook Dempster-Shafer machinery and double as the degeneration oracle
-for the D number rules in :mod:`dnumbers.fusion`.  Cell sums use ``math.fsum``,
-so every rule is exactly commutative.
+:func:`_products` puts the product m1(B)*m2(C) of each focal pair on B&C when
+the pair intersects, and splits it by a degree in [0, 1] between B|C and the
+conflict when it does not; the D number rules of :mod:`dnumbers.fusion` take
+that degree from their model.  The classical rules require complete operands
+and fix it: 0 for conjunctive, Dempster and Yager, 1 for Dubois-Prade.  Cell
+sums use ``math.fsum``, so every rule is exactly commutative.  The rules are
+checked against an independent brute-force oracle, ``brute_dempster`` in the
+test helpers.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import fsum
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import FrameMismatch, IncompleteInput, TotalConflict
 from .evidence import DNumber, Frame
 
-#: A global conflict this close to 1 leaves no normalizable mass; dividing by
-#: the remainder would amplify representation error past any useful tolerance.
+#: Surviving mass at or below this fraction of Q1*Q2 counts as none: dividing
+#: by it would amplify representation error past any useful tolerance.
 TOTAL_CONFLICT_TOLERANCE = 1e-12
+
+
+def _products(
+    m1: DNumber, m2: DNumber, degree: Callable[[int, int], float]
+) -> tuple[dict[int, float], float]:
+    """Product masses per target subset, in no particular order, plus the conflict.
+
+    Each product m1(B)*m2(C) lands on B&C when the pair intersects; a disjoint
+    pair credits degree(B, C)*product to B|C and (1-degree)*product to the
+    conflict.  Cells and conflict are fsum-reduced, making the outcome
+    independent of operand order.
+    """
+    cells: defaultdict[int, list[float]] = defaultdict(list)
+    conflict: list[float] = []
+    for b, w1 in m1.items():
+        for c, w2 in m2.items():
+            prod = w1 * w2
+            inter = b & c
+            if inter:
+                cells[inter].append(prod)
+            else:
+                u = degree(b, c)
+                if u > 0.0:
+                    cells[b | c].append(u * prod)
+                if u < 1.0:
+                    conflict.append((1.0 - u) * prod)
+    return {a: fsum(v) for a, v in cells.items()}, fsum(conflict)
+
+
+def _exclusive(b: int, c: int) -> float:
+    return 0.0
+
+
+def _overlapping(b: int, c: int) -> float:
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -25,11 +67,11 @@ class ConjunctiveResult:
 
     The empty-set entry is the global conflict K; the remaining entries are
     what Dempster's rule normalizes.  All entries sum to the product of the
-    input Q values (1 for complete inputs).
+    input Q values (1 for complete inputs).  ``masses`` is a read-only view.
     """
 
     frame: Frame
-    masses: dict[int, float]
+    masses: Mapping[int, float]
 
     @property
     def k(self) -> float:
@@ -47,17 +89,6 @@ def _require_combinable(m1: DNumber, m2: DNumber) -> None:
         )
 
 
-def _cells(m1: DNumber, m2: DNumber, key) -> dict[int, float]:
-    """Accumulate the products m1(B)*m2(C) into cells keyed by key(B, C)."""
-    cells: dict[int, list[float]] = {}
-    for b, w1 in m1.items():
-        for c, w2 in m2.items():
-            cells.setdefault(key(b, c), []).append(w1 * w2)
-    frame = m1.frame
-    ordered = sorted(cells, key=frame.sort_key)
-    return {a: fsum(cells[a]) for a in ordered}
-
-
 def conjunctive(m1: DNumber, m2: DNumber) -> ConjunctiveResult:
     """Conjunctive rule: every product lands on the intersection of its pair.
 
@@ -65,16 +96,20 @@ def conjunctive(m1: DNumber, m2: DNumber) -> ConjunctiveResult:
     redistributing it.
     """
     _require_combinable(m1, m2)
-    masses = _cells(m1, m2, lambda b, c: b & c)
-    masses.setdefault(0, 0.0)
+    masses, k = _products(m1, m2, _exclusive)
+    masses[0] = k
     ordered = sorted(masses, key=m1.frame.sort_key)
-    return ConjunctiveResult(m1.frame, {a: masses[a] for a in ordered})
+    return ConjunctiveResult(m1.frame, MappingProxyType({a: masses[a] for a in ordered}))
 
 
 def disjunctive(m1: DNumber, m2: DNumber) -> DNumber:
     """Disjunctive rule: every product lands on the union of its pair."""
     _require_combinable(m1, m2)
-    return DNumber(m1.frame, _cells(m1, m2, lambda b, c: b | c))
+    cells: defaultdict[int, list[float]] = defaultdict(list)
+    for b, w1 in m1.items():
+        for c, w2 in m2.items():
+            cells[b | c].append(w1 * w2)
+    return DNumber(m1.frame, {a: fsum(v) for a, v in cells.items()})
 
 
 def dempster(m1: DNumber, m2: DNumber) -> DNumber:
@@ -82,29 +117,27 @@ def dempster(m1: DNumber, m2: DNumber) -> DNumber:
 
     Raises TotalConflict when K is within ``TOTAL_CONFLICT_TOLERANCE`` of 1.
     """
-    conj = conjunctive(m1, m2)
-    k = conj.k
+    _require_combinable(m1, m2)
+    masses, k = _products(m1, m2, _exclusive)
     if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"global conflict K = {k!r}; combination is undefined")
     denom = 1.0 - k
-    return DNumber(m1.frame, {a: v / denom for a, v in conj.masses.items() if a})
+    return DNumber(m1.frame, {a: v / denom for a, v in masses.items()})
 
 
 def yager(m1: DNumber, m2: DNumber) -> DNumber:
     """Yager's rule: the global conflict is moved onto the whole frame."""
-    conj = conjunctive(m1, m2)
-    masses = {a: v for a, v in conj.masses.items() if a}
+    _require_combinable(m1, m2)
+    masses, k = _products(m1, m2, _exclusive)
     full = m1.frame.full_mask
-    masses[full] = masses.get(full, 0.0) + conj.k
+    masses[full] = masses.get(full, 0.0) + k
     return DNumber(m1.frame, masses)
 
 
 def dubois_prade(m1: DNumber, m2: DNumber) -> DNumber:
     """Dubois-Prade rule: each conflicting product moves to the pair's union."""
     _require_combinable(m1, m2)
-    return DNumber(
-        m1.frame, _cells(m1, m2, lambda b, c: (b & c) if b & c else (b | c))
-    )
+    return DNumber(m1.frame, _products(m1, m2, _overlapping)[0])
 
 
 def global_conflict(d1: DNumber, d2: DNumber) -> float:

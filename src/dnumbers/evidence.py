@@ -42,6 +42,14 @@ MAX_FRAME_SIZE = 24
 SubsetLike = Union[int, str, Iterable[str]]
 
 
+#: Each byte value with its eight bits in reverse order, for ``Frame.sort_key``,
+#: which reverses the three bytes of a ``MAX_FRAME_SIZE`` = 24 bit mask.
+_REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+#: The low ``MAX_FRAME_SIZE`` bits of a canonical sort key, all set.
+_KEY_LOW = (1 << MAX_FRAME_SIZE) - 1
+
+
 def bit_indices(mask: int) -> tuple[int, ...]:
     """Positions of the set bits of ``mask``, ascending."""
     out = []
@@ -122,9 +130,23 @@ class Frame:
         mask = self.coerce(mask)
         return tuple(self.labels[i] for i in bit_indices(mask))
 
-    def sort_key(self, mask: int):
-        """Canonical subset order: by cardinality, then by element indices."""
-        return (mask.bit_count(), bit_indices(mask))
+    def sort_key(self, mask: int) -> int:
+        """Canonical subset order: by cardinality, then by element indices.
+
+        The key is the integer ``(popcount << W) | (2^W - 1 - bitreverse_W(mask))``
+        with ``W = MAX_FRAME_SIZE``.  Reversing the W bits puts element 0 on
+        the highest bit, so among subsets of one cardinality the one holding
+        the lowest differing element gets the larger reversal and the smaller
+        key.  Keys are distinct, and their order equals that of the tuple
+        ``(cardinality, ascending element indices)``; the empty set sorts
+        first.  The reversal is three lookups in a byte table.
+        """
+        rev = (
+            _REVERSED_BYTE[mask & 0xFF] << 16
+            | _REVERSED_BYTE[mask >> 8 & 0xFF] << 8
+            | _REVERSED_BYTE[mask >> 16]
+        )
+        return (mask.bit_count() << MAX_FRAME_SIZE) | (_KEY_LOW - rev)
 
     def subsets(self) -> Iterator[int]:
         """All non-empty subsets in canonical order."""

@@ -18,6 +18,7 @@ from math import fsum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+from .classical import TOTAL_CONFLICT_TOLERANCE, _products
 from .errors import (
     DuplicatePair,
     EmptySubset,
@@ -34,9 +35,6 @@ from .evidence import DNumber, Frame, SubsetLike, bit_indices
 #: Largest frame for which the full (2^N - 1)-squared degree matrix may be
 #: materialized; degree lookups themselves are lazy and uncapped.
 MAX_MATRIX_FRAME_SIZE = 12
-
-#: Threshold below which no combinable mass survives.
-TOTAL_CONFLICT_TOLERANCE = 1e-12
 
 PairDegrees = Union[
     Mapping[tuple[str, str], float], Iterable[tuple[tuple[str, str], float]]
@@ -318,34 +316,6 @@ def _require_common_frame(d1: DNumber, d2: DNumber, model: NonExclusivityModel) 
         raise FrameMismatch("D numbers and model must share one frame")
 
 
-def _interaction(
-    d1: DNumber, d2: DNumber, model: NonExclusivityModel
-) -> tuple[dict[int, float], float]:
-    """Degree-weighted product masses per target subset, plus the residual conflict.
-
-    Each product D1(B)*D2(C) lands on B&C when the pair intersects; a disjoint
-    pair credits degree*product to B|C and (1-degree)*product to the conflict.
-    Cells are fsum-reduced, making the outcome independent of operand order.
-    """
-    cells: dict[int, list[float]] = {}
-    conflict: list[float] = []
-    for b, w1 in d1.items():
-        for c, w2 in d2.items():
-            prod = w1 * w2
-            inter = b & c
-            if inter:
-                cells.setdefault(inter, []).append(prod)
-            else:
-                u = model._degree(b, c)
-                if u > 0.0:
-                    cells.setdefault(b | c, []).append(u * prod)
-                if u < 1.0:
-                    conflict.append((1.0 - u) * prod)
-    frame = d1.frame
-    masses = {a: fsum(cells[a]) for a in sorted(cells, key=frame.sort_key)}
-    return masses, fsum(conflict)
-
-
 def residual_conflict(
     d1: DNumber, d2: DNumber, model: NonExclusivityModel
 ) -> float:
@@ -355,7 +325,7 @@ def residual_conflict(
     conflict and equals it under a fully exclusive model.
     """
     _require_common_frame(d1, d2, model)
-    return _interaction(d1, d2, model)[1]
+    return _products(d1, d2, model._degree)[1]
 
 
 def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
@@ -370,7 +340,7 @@ def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
             "dcr1 requires complete D numbers "
             f"(Q values {d1.q_value!r} and {d2.q_value!r}); use dcr2 instead"
         )
-    masses, k_d = _interaction(d1, d2, model)
+    masses, k_d = _products(d1, d2, model._degree)
     # Normalize by the surviving mass itself; algebraically 1 - K_D, but free
     # of the cancellation that 1 - K_D suffers when K_D is close to 1.
     retained = fsum(masses.values())
@@ -395,13 +365,14 @@ def dcr2(
     this coincides with dcr1.  Raises TotalConflict when no mass survives.
     """
     _require_common_frame(d1, d2, model)
-    masses, _ = _interaction(d1, d2, model)
+    masses, _ = _products(d1, d2, model._degree)
     total = fsum(masses.values())
-    if total <= TOTAL_CONFLICT_TOLERANCE:
+    q1, q2 = d1.q_value, d2.q_value
+    # Relative to Q1*Q2, the mass the products started with.
+    if total <= TOTAL_CONFLICT_TOLERANCE * q1 * q2:
         raise TotalConflict(
             f"no mass survives the combination (sum of D_t = {total!r})"
         )
-    q1, q2 = d1.q_value, d2.q_value
     f_value = f(q1, q2)
     result = DNumber(
         d1.frame, {a: f_value * (v / total) for a, v in masses.items()}
@@ -452,25 +423,16 @@ def combine_many(
     if any(d.frame != frame for d in ds) or model.frame != frame:
         raise FrameMismatch("D numbers and model must share one frame")
     if strategy == "fold":
-        acc = ds[0]
-        report = None
-        for step, nxt in enumerate(ds[1:], start=1):
-            report = _step(acc, nxt, model, f, step)
-            acc = report.result
-        return report
-    if strategy == "average-iterate":
-        avg = mean_assignment(ds)
-        acc = avg
-        report = None
-        for step in range(1, len(ds)):
-            report = _step(acc, avg, model, f, step)
-            acc = report.result
-        return report
-    raise ValueError(f"unknown strategy {strategy!r}; use 'fold' or 'average-iterate'")
-
-
-def _step(acc, nxt, model, f, step) -> FusionReport:
-    try:
-        return dcr2(acc, nxt, model, f)
-    except TotalConflict as exc:
-        raise TotalConflict(f"combination step {step}: {exc}", step=step) from exc
+        acc, others = ds[0], ds[1:]
+    elif strategy == "average-iterate":
+        acc = mean_assignment(ds)
+        others = [acc] * (len(ds) - 1)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}; use 'fold' or 'average-iterate'")
+    for step, nxt in enumerate(others, start=1):
+        try:
+            report = dcr2(acc, nxt, model, f)
+        except TotalConflict as exc:
+            raise TotalConflict(f"combination step {step}: {exc}", step=step) from exc
+        acc = report.result
+    return report

@@ -1,8 +1,8 @@
 """Brute-force oracles and seeded random generators shared by the tests.
 
-The oracles deliberately avoid the library's focal-set shortcuts: belief and
-plausibility are summed by visiting every one of the 2^N subsets, so they stay
-independent of the code paths they check.
+The oracles deliberately avoid the library's focal-set shortcuts: belief,
+plausibility and Dempster's rule are summed by visiting every one of the 2^N
+subsets, so they stay independent of the code paths they check.
 """
 
 import random
@@ -29,6 +29,26 @@ def brute_pl(d: DNumber, subset) -> float:
         if mask & a:
             total += d.weight(mask)
     return total
+
+
+def brute_dempster(m1: dict[int, float], m2: dict[int, float]) -> dict[int, float]:
+    """Dempster's rule on plain ``{mask: weight}`` dicts, target subset first.
+
+    For every subset A of the masks' union it sums the products of the focal
+    pairs whose intersection is exactly A; A = 0 gives the conflict K, and the
+    non-empty sums are divided by 1 - K.  It never calls the library's rules.
+    """
+    full = 0
+    for mask in (*m1, *m2):
+        full |= mask
+    sums = {}
+    for a in range(full + 1):
+        if a & full == a:
+            sums[a] = fsum(
+                w1 * w2 for b, w1 in m1.items() for c, w2 in m2.items() if b & c == a
+            )
+    k = sums.pop(0)
+    return {a: s / (1.0 - k) for a, s in sums.items() if s}
 
 
 def random_complete(rng: random.Random, frame: Frame, max_focal: int = 4) -> DNumber:

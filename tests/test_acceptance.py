@@ -34,7 +34,7 @@ from dnumbers import (
 )
 from dnumbers.cli import run_cli
 from dnumbers.errors import TotalConflict
-from helpers import random_complete, random_dnumber, random_model
+from helpers import brute_dempster, random_complete, random_dnumber, random_model
 from conftest import SCENARIOS
 
 ALL_AGGREGATORS = (PRODUCT, MINIMUM, MAXIMUM, AVERAGE, CONSTANT_ONE)
@@ -121,9 +121,11 @@ def test_criterion_4_degeneration_to_dempster():
         if global_conflict(d1, d2) > 0.999:
             continue
         oracle = dempster(d1, d2)
+        brute = brute_dempster(dict(d1.items()), dict(d2.items()))
         one = dcr1(d1, d2, models[frame.size])
-        for mask in set(oracle.focal_sets()) | set(one.result.focal_sets()):
+        for mask in set(oracle.focal_sets()) | set(one.result.focal_sets()) | set(brute):
             assert abs(one.result.weight(mask) - oracle.weight(mask)) <= 1e-10
+            assert abs(one.result.weight(mask) - brute.get(mask, 0.0)) <= 1e-10
         two = dcr2(d1, d2, models[frame.size], PRODUCT)
         for mask in set(one.result.focal_sets()) | set(two.result.focal_sets()):
             assert abs(one.result.weight(mask) - two.result.weight(mask)) <= 1e-12

@@ -58,6 +58,11 @@ class TestConjunctive:
         assert result.masses[abc.mask("b")] == 0.2
         assert result.masses[abc.mask("a", "b")] == 0.2
 
+    def test_masses_are_read_only(self, abc, mixed_pair):
+        result = conjunctive(*mixed_pair)
+        with pytest.raises(TypeError):
+            result.masses[abc.mask("a")] = 1.0
+
     def test_total_mass_is_product_of_q(self, mixed_pair):
         result = conjunctive(*mixed_pair)
         m1, m2 = mixed_pair

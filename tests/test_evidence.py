@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from dnumbers import BeliefSummary, DNumber, Frame
+from dnumbers.evidence import MAX_FRAME_SIZE
 from dnumbers.errors import (
     DuplicateLabel,
     EmptyFrame,
@@ -11,6 +14,16 @@ from dnumbers.errors import (
     NegativeWeight,
 )
 from helpers import brute_bel, brute_pl
+
+
+def canonical(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The canonical subset order spelled out: cardinality, then element indices."""
+    indices = tuple(i for i in range(MAX_FRAME_SIZE) if mask >> i & 1)
+    return (len(indices), indices)
+
+
+def frame_of(size: int) -> Frame:
+    return Frame([f"e{i}" for i in range(size)])
 
 
 class TestFrame:
@@ -68,6 +81,25 @@ class TestFrame:
             ("a", "b", "c"),
         ]
 
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_sort_key_order_is_canonical_on_every_mask(self, size):
+        frame = frame_of(size)
+        masks = range(frame.full_mask + 1)
+        assert sorted(masks, key=frame.sort_key) == sorted(masks, key=canonical)
+
+    def test_sort_key_order_is_canonical_on_sampled_masks_at_the_cap(self):
+        frame = frame_of(MAX_FRAME_SIZE)
+        rng = random.Random(24)
+        masks = [
+            sum(1 << i for i in rng.sample(range(MAX_FRAME_SIZE), rng.randint(0, MAX_FRAME_SIZE)))
+            for _ in range(20000)
+        ]
+        assert sorted(masks, key=frame.sort_key) == sorted(masks, key=canonical)
+
+    def test_subsets_come_in_canonical_order(self):
+        frame = frame_of(10)
+        assert list(frame.subsets()) == sorted(range(1, frame.full_mask + 1), key=canonical)
+
     def test_equality_is_by_labels(self):
         assert Frame(["a", "b"]) == Frame(["a", "b"])
         assert Frame(["a", "b"]) != Frame(["b", "a"])
@@ -84,6 +116,13 @@ class TestDNumber:
         assert d.q_value == 1.0
         assert d.is_complete()
         assert d.weight(abc.full_mask) == 1.0
+
+    def test_masses_come_in_canonical_order_from_a_shuffled_mapping(self):
+        frame = frame_of(10)
+        masks = list(range(1, frame.full_mask + 1))
+        random.Random(10).shuffle(masks)
+        d = DNumber(frame, {m: 1.0 / len(masks) for m in masks})
+        assert list(d.masses) == sorted(masks, key=canonical)
 
     def test_overflow_rejected(self, abc):
         with pytest.raises(MassOverflow):

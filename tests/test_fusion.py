@@ -288,6 +288,19 @@ class TestDcr2:
         with pytest.raises(TotalConflict):
             dcr2(d1, d2, NonExclusivityModel.exclusive(abc), PRODUCT)
 
+    def test_tiny_conflict_free_inputs_survive(self, abc):
+        # Q1*Q2 = 1e-14 is below the tolerance in absolute terms, yet no
+        # product conflicts: the surviving mass is judged relative to Q1*Q2
+        d = DNumber(abc, {("a",): 1e-7})
+        model = NonExclusivityModel.exclusive(abc)
+        assert residual_conflict(d, d, model) == 0.0
+        report = dcr2(d, d, model, PRODUCT)
+        assert report.d_t_total == 1e-7 * 1e-7
+        assert report.result.focal_sets() == (abc.mask("a"),)
+        assert report.result.weight(("a",)) == report.f_value
+        with pytest.raises(TotalConflict):
+            dcr2(d, DNumber(abc, {("b",): 1e-7}), model, PRODUCT)
+
     def test_result_sums_to_f(self, overlap_model, partial_sources):
         d1, d2 = partial_sources
         for agg in (PRODUCT, MINIMUM, MAXIMUM, AVERAGE, CONSTANT_ONE):

@@ -32,6 +32,7 @@ from dnumbers import (
     yager,
 )
 from dnumbers.errors import TotalConflict
+from helpers import brute_dempster
 
 LABELS = ("a", "b", "c", "d")
 BUILTIN_AGGREGATORS = (PRODUCT, MINIMUM, MAXIMUM, AVERAGE, CONSTANT_ONE)
@@ -253,6 +254,19 @@ def test_dcr2_commutes_and_sums_to_f(s):
         assert abs(total - left.f_value) < 1e-12
 
 
+@given(state(n_dnumbers=2, complete=False, with_model=True), st.floats(1e-6, 1.0))
+def test_dcr2_shape_invariant_under_scaling_one_input(s, c):
+    frame, d1, d2, model = s
+    try:
+        base = dcr2(d1, d2, model, PRODUCT)
+    except TotalConflict:
+        assume(False)
+    scaled = dcr2(DNumber(frame, {m: c * w for m, w in d1.items()}), d2, model, PRODUCT)
+    for mask in set(base.result.focal_sets()) | set(scaled.result.focal_sets()):
+        shape = base.result.weight(mask) / base.f_value
+        assert abs(scaled.result.weight(mask) / scaled.f_value - shape) <= 1e-12
+
+
 @given(state(n_dnumbers=2, complete=False, with_model=True))
 def test_mass_conservation_before_normalization(s):
     _, d1, d2, model = s
@@ -272,9 +286,11 @@ def test_dcr1_degenerates_to_dempster(s):
     model = NonExclusivityModel.exclusive(frame)
     assume(global_conflict(d1, d2) < 0.99)
     oracle = dempster(d1, d2)
+    brute = brute_dempster(dict(d1.items()), dict(d2.items()))
     report = dcr1(d1, d2, model)
-    for mask in set(oracle.focal_sets()) | set(report.result.focal_sets()):
+    for mask in set(oracle.focal_sets()) | set(report.result.focal_sets()) | set(brute):
         assert abs(report.result.weight(mask) - oracle.weight(mask)) < 1e-10
+        assert abs(report.result.weight(mask) - brute.get(mask, 0.0)) < 1e-10
 
 
 @given(state(n_dnumbers=3, complete=False))
