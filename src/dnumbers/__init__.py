@@ -27,6 +27,7 @@ from .fusion import (
     MAXIMUM,
     MINIMUM,
     PRODUCT,
+    RULES,
     CompletenessAggregator,
     DegreeMatrix,
     FusionReport,
@@ -75,6 +76,7 @@ __all__ = [
     "PairDegree",
     "PRODUCT",
     "ReportDocument",
+    "RULES",
     "Scenario",
     "ScenarioDocument",
     "WeightEntry",

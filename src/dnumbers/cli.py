@@ -19,21 +19,15 @@ import json
 import re
 import sys
 
-from .classical import (
-    conjunctive,
-    dempster,
-    disjunctive,
-    dubois_prade,
-    global_conflict,
-    yager,
-)
+from .classical import global_conflict
 from .errors import FusionError
 from .evidence import Frame
 from .fusion import (
+    AGGREGATORS,
+    RULES,
+    STRATEGIES,
     aggregator,
     combine_many,
-    dcr1,
-    dcr2,
     residual_conflict,
     validate_f_points,
 )
@@ -43,14 +37,6 @@ from .scenario import ScenarioDocument, parse_f_table, parse_scenario
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DOMAIN = 2
-
-CLASSICAL_RULES = {
-    "dempster": dempster,
-    "yager": yager,
-    "dubois-prade": dubois_prade,
-    "disjunctive": disjunctive,
-}
-
 
 class _Abort(Exception):
     """Unusable invocation against a well-formed scenario."""
@@ -101,10 +87,6 @@ def _parse_subset_flag(frame: Frame, text: str) -> int:
 # --- combine --------------------------------------------------------------------
 
 
-def _weights_of(frame: Frame, masses) -> tuple:
-    return tuple((frame.labels_of(mask), weight) for mask, weight in masses.items())
-
-
 def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
     if args.f is not None and args.rule != "dcr2":
         raise _Abort("--f applies to --rule dcr2 only")
@@ -112,58 +94,30 @@ def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
         raise _Abort("--strategy applies to --rule dcr2 only")
     names = _pick_sources(doc, 2)
     scenario = doc.build()
-    ds = [scenario.dnumbers[name] for name in names]
-    frame, model = scenario.frame, scenario.model
-    diag: dict = {
+    ds = list(scenario.dnumbers.values())
+    f = aggregator(args.f or "product")
+    # A strategy only matters from three sources on; two are combined once.
+    strategy = (args.strategy or "fold") if len(ds) > 2 else None
+    try:
+        report = combine_many(ds, scenario.model, f, strategy or "fold", args.rule)
+    except ValueError as exc:
+        raise _Abort(str(exc)) from None
+    dcr2 = args.rule == "dcr2"
+    diag = {
         "q_values": [d.q_value for d in ds],
-        "k": None,
-        "k_d": None,
-        "d_t_total": None,
-        "f": None,
-        "f_value": None,
-        "strategy": None,
+        "k": report.k,
+        "k_d": report.k_d,
+        "d_t_total": report.d_t_total,
+        "f": f.name if dcr2 else None,
+        "f_value": report.f_value,
+        "strategy": strategy if dcr2 else None,
     }
-
-    if args.rule == "conjunctive":
-        if len(ds) != 2:
-            raise _Abort("the conjunctive rule combines exactly two sources")
-        conj = conjunctive(ds[0], ds[1])
-        diag["k"] = conj.k
-        weights = _weights_of(frame, conj.masses)
-    elif args.rule in CLASSICAL_RULES:
-        rule_fn = CLASSICAL_RULES[args.rule]
-        acc = ds[0]
-        last_k = None
-        for nxt in ds[1:]:
-            if args.rule != "disjunctive":
-                last_k = global_conflict(acc, nxt)
-            acc = rule_fn(acc, nxt)
-        diag["k"] = last_k
-        weights = _weights_of(frame, acc.masses)
-    elif args.rule == "dcr1":
-        acc_report = None
-        acc = ds[0]
-        for nxt in ds[1:]:
-            acc_report = dcr1(acc, nxt, model)
-            acc = acc_report.result
-        diag["k_d"] = acc_report.k_d
-        weights = _weights_of(frame, acc.masses)
-    else:  # dcr2
-        f = aggregator(args.f or "product")
-        diag["f"] = f.name
-        if len(ds) == 2:
-            report = dcr2(ds[0], ds[1], model, f)
-        else:
-            strategy = args.strategy or "fold"
-            diag["strategy"] = strategy
-            report = combine_many(ds, model, f, strategy)
-        diag["d_t_total"] = report.d_t_total
-        diag["f_value"] = report.f_value
-        weights = _weights_of(frame, report.result.masses)
-
     report_doc = ReportDocument(
         rule=args.rule,
-        weights=weights,
+        weights=tuple(
+            (scenario.frame.labels_of(mask), weight)
+            for mask, weight in report.result.masses.items()
+        ),
         diagnostics=diag,
         inputs={"scenario_sha256": _digest(raw), "dnumbers": names},
     )
@@ -339,28 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
         return add_io(sub.add_parser(name, help=help_text, **kwargs))
 
     p = add("combine", "combine the scenario's D numbers under a rule")
-    p.add_argument(
-        "--rule",
-        required=True,
-        choices=(
-            "conjunctive",
-            "disjunctive",
-            "dempster",
-            "yager",
-            "dubois-prade",
-            "dcr1",
-            "dcr2",
-        ),
-    )
+    p.add_argument("--rule", required=True, choices=tuple(RULES))
     p.add_argument(
         "--f",
-        choices=("product", "min", "max", "avg", "one"),
+        choices=tuple(AGGREGATORS),
         default=None,
         help="completeness aggregator for dcr2 (default: product)",
     )
     p.add_argument(
         "--strategy",
-        choices=("fold", "average-iterate"),
+        choices=STRATEGIES,
         default=None,
         help="multi-source strategy for dcr2 with 3+ inputs (default: fold)",
     )

@@ -18,7 +18,17 @@ from math import fsum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .classical import TOTAL_CONFLICT_TOLERANCE, _products
+from .classical import (
+    TOTAL_CONFLICT_TOLERANCE,
+    ConjunctiveResult,
+    _products,
+    conjunctive,
+    dempster,
+    disjunctive,
+    dubois_prade,
+    global_conflict,
+    yager,
+)
 from .errors import (
     DuplicatePair,
     EmptySubset,
@@ -216,21 +226,15 @@ class CompletenessAggregator:
 
     @classmethod
     def from_callable(
-        cls, name: str, fn: Callable[[float, float], float], grid: int = 101
+        cls, name: str, fn: Callable[[float, float], float]
     ) -> "CompletenessAggregator":
-        """Wrap and validate a user-supplied aggregator on a grid."""
-        tol = 1e-12
-        for i in range(grid):
-            for j in range(grid):
-                q1, q2 = i / (grid - 1), j / (grid - 1)
-                v = fn(q1, q2)
-                if not -tol <= v <= max(q1, q2) + tol:
-                    raise InvalidAggregator(
-                        f"{name!r} gives f({q1}, {q2}) = {v!r}, "
-                        f"outside [0, max(Q1, Q2)]"
-                    )
-        if abs(fn(1.0, 1.0) - 1.0) > tol:
-            raise InvalidAggregator(f"{name!r} gives f(1, 1) = {fn(1.0, 1.0)!r}, not 1")
+        """Wrap a user-supplied aggregator after checking it with
+        :func:`validate_f_points` on a 101x101 grid."""
+        grid = [i / 100 for i in range(101)]
+        try:
+            validate_f_points((q1, q2, fn(q1, q2)) for q1 in grid for q2 in grid)
+        except InvalidAggregator as exc:
+            raise InvalidAggregator(f"{name!r}: {exc}") from None
         return cls(name, fn)
 
 
@@ -299,16 +303,20 @@ class FusionReport:
     """A combined D number plus the diagnostics of the rule that produced it.
 
     ``k_d`` is set on the DCR1 path; ``d_t_total`` (the unnormalized mass that
-    survived) and ``f_value`` are set on the DCR2 path.
+    survived) and ``f_value`` are set on the DCR2 path; ``k``, the classical
+    global conflict, on every classical path but the disjunctive one.  The
+    conjunctive rule's ``result`` is a :class:`ConjunctiveResult`, which keeps
+    the mass on the empty set.
     """
 
-    result: DNumber
+    result: DNumber | ConjunctiveResult
     rule: str
     q1: float
     q2: float
     k_d: float | None = None
     d_t_total: float | None = None
     f_value: float | None = None
+    k: float | None = None
 
 
 def _require_common_frame(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> None:
@@ -403,22 +411,55 @@ def mean_assignment(ds: Sequence[DNumber]) -> DNumber:
     )
 
 
+def _classical_step(
+    name: str, rule: Callable[[DNumber, DNumber], DNumber], k: bool = True
+) -> Callable[..., FusionReport]:
+    def step(d1, d2, model, f) -> FusionReport:
+        result = rule(d1, d2)
+        conflict = global_conflict(d1, d2) if k else None
+        return FusionReport(result, name, d1.q_value, d2.q_value, k=conflict)
+
+    return step
+
+
+#: Every two-source rule as a step ``step(d1, d2, model, f)``; the classical
+#: rules ignore the model and f, and dcr1 ignores f.
+RULES: dict[str, Callable[..., FusionReport]] = {
+    "conjunctive": _classical_step("conjunctive", conjunctive),
+    "disjunctive": _classical_step("disjunctive", disjunctive, k=False),
+    "dempster": _classical_step("dempster", dempster),
+    "yager": _classical_step("yager", yager),
+    "dubois-prade": _classical_step("dubois-prade", dubois_prade),
+    "dcr1": lambda d1, d2, model, f: dcr1(d1, d2, model),
+    "dcr2": dcr2,
+}
+
+STRATEGIES = ("fold", "average-iterate")
+
+
 def combine_many(
     ds: Sequence[DNumber],
     model: NonExclusivityModel,
     f: CompletenessAggregator = PRODUCT,
     strategy: str = "fold",
+    rule: str = "dcr2",
 ) -> FusionReport:
-    """Combine three or more D numbers with dcr2, which is not associative.
+    """Combine two or more D numbers with a rule of :data:`RULES`.
 
-    ``fold`` applies dcr2 left to right in list order and so respects sources
-    that arrive in a meaningful order.  ``average-iterate`` combines the
-    pointwise mean of all inputs with itself n-1 times, trading order
-    sensitivity for symmetry.  A TotalConflict raised mid-way carries the
-    1-based index of the failing combination step.
+    The rules are not associative.  ``fold`` applies the rule left to right in
+    list order and so respects sources that arrive in a meaningful order.
+    ``average-iterate`` combines the pointwise mean of all inputs with itself
+    n-1 times, trading order sensitivity for symmetry.  The conjunctive rule,
+    whose result keeps the empty set's mass, combines exactly two sources.
+    The report is the last step's.  A TotalConflict raised at any step
+    carries the 1-based index of the failing combination step.
     """
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}; choose from {list(RULES)}")
     if len(ds) < 2:
         raise ValueError("need at least two D numbers to combine")
+    if rule == "conjunctive" and len(ds) != 2:
+        raise ValueError("the conjunctive rule combines exactly two sources")
     frame = ds[0].frame
     if any(d.frame != frame for d in ds) or model.frame != frame:
         raise FrameMismatch("D numbers and model must share one frame")
@@ -428,10 +469,11 @@ def combine_many(
         acc = mean_assignment(ds)
         others = [acc] * (len(ds) - 1)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}; use 'fold' or 'average-iterate'")
+        raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
+    step_fn = RULES[rule]
     for step, nxt in enumerate(others, start=1):
         try:
-            report = dcr2(acc, nxt, model, f)
+            report = step_fn(acc, nxt, model, f)
         except TotalConflict as exc:
             raise TotalConflict(f"combination step {step}: {exc}", step=step) from exc
         acc = report.result

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import (
     DuplicatePair,
@@ -44,6 +46,7 @@ from .errors import (
 )
 from .evidence import DNumber, Frame
 from .fusion import NonExclusivityModel
+from .report import fmt_subset
 
 _LABEL = r"[^\s{},:~#]+"
 _FRAME_LINE = re.compile(r"^\s*frame\s*:\s*(?P<body>.*?)\s*$")
@@ -86,10 +89,10 @@ class OverrideDegree:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Domain objects built from a document."""
+    """Domain objects built from a document; ``dnumbers`` is a read-only view."""
 
     frame: Frame
-    dnumbers: dict[str, DNumber]
+    dnumbers: Mapping[str, DNumber]
     model: NonExclusivityModel
 
 
@@ -128,7 +131,9 @@ class ScenarioDocument:
     def build(self) -> Scenario:
         """Realize the document as domain objects, surfacing any domain errors."""
         frame = self.build_frame()
-        return Scenario(frame, self.build_dnumbers(frame), self.build_model(frame))
+        return Scenario(
+            frame, MappingProxyType(self.build_dnumbers(frame)), self.build_model(frame)
+        )
 
 
 class _Parser:
@@ -295,6 +300,15 @@ class _Parser:
         self.overrides.append(OverrideDegree(key, degree))
 
 
+def _decode(data: bytes | str, what: str) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioSyntaxError(f"{what} is not valid UTF-8 ({exc})") from None
+
+
 def parse_scenario(data: bytes | str) -> ScenarioDocument:
     """Parse and validate a scenario document.
 
@@ -303,12 +317,7 @@ def parse_scenario(data: bytes | str) -> ScenarioDocument:
     problems (mass overflow, intersecting overrides, ...) are only raised later,
     by :meth:`ScenarioDocument.build`.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ScenarioSyntaxError(f"scenario is not valid UTF-8 ({exc})") from None
-    return _Parser(data).run()
+    return _Parser(_decode(data, "scenario")).run()
 
 
 def parse_f_table(data: bytes | str) -> tuple[tuple[float, float, float], ...]:
@@ -318,13 +327,8 @@ def parse_f_table(data: bytes | str) -> tuple[tuple[float, float, float], ...]:
     judging the sampled values against the admissibility constraints is left
     to :func:`dnumbers.fusion.validate_f_points`.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ScenarioSyntaxError(f"table is not valid UTF-8 ({exc})") from None
     points = []
-    for line_no, raw in enumerate(data.splitlines(), start=1):
+    for line_no, raw in enumerate(_decode(data, "table").splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -353,10 +357,6 @@ def _fmt_number(v: float) -> str:
     return repr(float(v))
 
 
-def _fmt_subset(subset: tuple[str, ...]) -> str:
-    return "{%s}" % ", ".join(subset)
-
-
 def format_scenario(doc: ScenarioDocument) -> str:
     """Print a document in canonical form; parsing it back reproduces ``doc``."""
     out = ["frame: " + ", ".join(doc.frame)]
@@ -364,7 +364,7 @@ def format_scenario(doc: ScenarioDocument) -> str:
         out.append("")
         out.append(f"dnumber {named.name}:")
         for entry in named.entries:
-            out.append(f"  {_fmt_subset(entry.subset)}: {_fmt_number(entry.weight)}")
+            out.append(f"  {fmt_subset(entry.subset)}: {_fmt_number(entry.weight)}")
     if doc.pairs:
         out.append("")
         out.append("nonexclusivity:")
@@ -377,7 +377,7 @@ def format_scenario(doc: ScenarioDocument) -> str:
         out.append("overrides:")
         for override in doc.overrides:
             out.append(
-                f"  {_fmt_subset(override.subsets[0])} ~ {_fmt_subset(override.subsets[1])}: "
+                f"  {fmt_subset(override.subsets[0])} ~ {fmt_subset(override.subsets[1])}: "
                 f"{_fmt_number(override.degree)}"
             )
     return "\n".join(out) + "\n"

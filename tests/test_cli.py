@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from dnumbers.cli import run_cli
-from conftest import FIXTURES, SCENARIOS
+from dnumbers import AGGREGATORS
+from dnumbers.cli import build_parser, run_cli
+from dnumbers.fusion import RULES, STRATEGIES
+from conftest import FIXTURES, REPO, SCENARIOS
 
 BAD = FIXTURES / "bad"
 GOLDEN = FIXTURES / "golden"
@@ -14,6 +16,28 @@ FTABLES = FIXTURES / "ftables"
 FUSION = str(SCENARIOS / "abc_fusion.scn")
 OVERLAPS = str(SCENARIOS / "abc_overlaps.scn")
 HIGH_MEDIUM = str(SCENARIOS / "high_medium.scn")
+
+RULE_NAMES = ("conjunctive", "disjunctive", "dempster", "yager", "dubois-prade", "dcr1", "dcr2")
+DCR2_FLAGS = (
+    ("--f", "min"),
+    ("--f", "max"),
+    ("--f", "avg"),
+    ("--f", "one"),
+    ("--strategy", "average-iterate"),
+)
+
+
+def combine_cases():
+    """Every rule, plus each dcr2 flag set, in both formats, on the shipped
+    scenarios and two three-source fixtures; keyed as written in the golden."""
+    paths = sorted(SCENARIOS.glob("*.scn")) + sorted(FIXTURES.glob("three_*.scn"))
+    for path in paths:
+        for rule in RULE_NAMES:
+            for flags in ((),) + (DCR2_FLAGS if rule == "dcr2" else ()):
+                for output in ("human", "machine"):
+                    key = " ".join((path.name, rule, *flags, output))
+                    argv = ["combine", "--rule", rule, *flags, "--output", output, str(path)]
+                    yield key, argv
 
 
 def run(capsys, *argv):
@@ -101,6 +125,48 @@ class TestCombine:
         )
         assert code == 0
         assert json.loads(out)["diagnostics"]["strategy"] == "average-iterate"
+
+
+    def test_three_source_classical_total_conflict_names_step(self, capsys, tmp_path):
+        scn = tmp_path / "conflict.scn"
+        scn.write_text(
+            "frame: a, b\n"
+            "dnumber D1:\n  {a}: 1\n"
+            "dnumber D2:\n  {a}: 0.5\n  {a, b}: 0.5\n"
+            "dnumber D3:\n  {b}: 1\n"
+        )
+        code, out, err = run(capsys, "combine", "--rule", "dempster", str(scn))
+        assert code == 2 and out == ""
+        assert err.startswith("error[total-conflict]: combination step 2:")
+
+    def test_f_flag_accepts_long_names(self, capsys):
+        _, short, _ = run(capsys, "combine", "--rule", "dcr2", "--f", "min", FUSION)
+        code, long, _ = run(capsys, "combine", "--rule", "dcr2", "--f", "minimum", FUSION)
+        assert code == 0 and long == short
+
+    def test_choices_come_from_the_library_tables(self):
+        (commands,) = [a for a in build_parser()._actions if isinstance(a.choices, dict)]
+        choices = {a.dest: a.choices for a in commands.choices["combine"]._actions if a.choices}
+        assert list(choices["rule"]) == list(RULES)
+        assert list(choices["f"]) == list(AGGREGATORS)
+        assert list(choices["strategy"]) == list(STRATEGIES)
+
+    def test_readme_example_matches_output(self, capsys):
+        readme = (REPO / "README.md").read_text()
+        command = "$ dnumbers combine --rule dcr2 --f product scenarios/abc_fusion.scn\n"
+        shown = readme.split(command, 1)[1].split("```", 1)[0]
+        _, out, _ = run(capsys, "combine", "--rule", "dcr2", "--f", "product", FUSION)
+        assert out == shown
+
+
+COMBINE_CASES = dict(combine_cases())
+COMBINE_GOLDEN = json.loads((GOLDEN / "combine_all_rules.json").read_text())
+
+
+@pytest.mark.parametrize("key", COMBINE_CASES)
+def test_combine_matches_all_rule_golden(capsys, key):
+    code, out, _ = run(capsys, *COMBINE_CASES[key])
+    assert {"exit": code, "stdout": out} == COMBINE_GOLDEN[key]
 
 
 class TestMeasures:

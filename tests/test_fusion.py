@@ -14,15 +14,20 @@ from dnumbers import (
     DNumber,
     Frame,
     NonExclusivityModel,
+    RULES,
     aggregator,
     combine_many,
+    conjunctive,
     dcr1,
     dcr2,
     dempster,
+    disjunctive,
+    dubois_prade,
     global_conflict,
     mean_assignment,
     residual_conflict,
     validate_f_points,
+    yager,
 )
 from dnumbers.errors import (
     DuplicatePair,
@@ -178,9 +183,9 @@ class TestAggregators:
     def test_user_callable_validation(self):
         good = CompletenessAggregator.from_callable("scaled", lambda q1, q2: 0.5 * q1 * q2 + 0.5 * min(q1, q2))
         assert good(1.0, 1.0) == 1.0
-        with pytest.raises(InvalidAggregator):
+        with pytest.raises(InvalidAggregator, match="^'too-big': f"):
             CompletenessAggregator.from_callable("too-big", lambda q1, q2: 1.1 * max(q1, q2) - 0.1 * q1 * q2)
-        with pytest.raises(InvalidAggregator):
+        with pytest.raises(InvalidAggregator, match=r"^'wrong-corner': f\(1, 1\)"):
             CompletenessAggregator.from_callable("wrong-corner", lambda q1, q2: 0.9 * q1 * q2)
 
     def test_lookup_and_aliases(self):
@@ -372,6 +377,7 @@ class TestCombineMany:
             folded = combine_many(ds, model, PRODUCT, "fold").result
             for mask in set(base.focal_sets()) | set(folded.focal_sets()):
                 assert abs(base.weight(mask) - folded.weight(mask)) < 1e-10
+            assert combine_many(ds, model, PRODUCT, "fold", "dempster").result == base
 
     def test_total_conflict_reports_step(self, abc):
         model = NonExclusivityModel.exclusive(abc)
@@ -383,6 +389,46 @@ class TestCombineMany:
         with pytest.raises(TotalConflict) as excinfo:
             combine_many([sure_a, sure_b, sure_a], model, PRODUCT, "fold")
         assert excinfo.value.step == 1
+
+    def test_conjunctive_combines_exactly_two_sources(self, abc, overlap_model):
+        ds = [DNumber.vacuous(abc)] * 3
+        with pytest.raises(ValueError, match="exactly two"):
+            combine_many(ds, overlap_model, PRODUCT, "fold", "conjunctive")
+
+    def test_unknown_rule(self, abc, overlap_model):
+        ds = [DNumber.vacuous(abc), DNumber.vacuous(abc)]
+        with pytest.raises(ValueError, match="unknown rule"):
+            combine_many(ds, overlap_model, PRODUCT, "fold", "pcr5")
+
+    def test_two_source_steps_match_the_public_rules(self, abc, overlap_model):
+        rng = random.Random(11)
+        d1, d2 = random_complete(rng, abc), random_complete(rng, abc)
+        k = global_conflict(d1, d2)
+        expected = {
+            "conjunctive": (conjunctive(d1, d2), k),
+            "disjunctive": (disjunctive(d1, d2), None),
+            "dempster": (dempster(d1, d2), k),
+            "yager": (yager(d1, d2), k),
+            "dubois-prade": (dubois_prade(d1, d2), k),
+            "dcr1": (dcr1(d1, d2, overlap_model).result, None),
+            "dcr2": (dcr2(d1, d2, overlap_model, MINIMUM).result, None),
+        }
+        assert list(RULES) == list(expected)
+        for name, (result, k_value) in expected.items():
+            report = combine_many([d1, d2], overlap_model, MINIMUM, "fold", name)
+            assert report.rule == name
+            assert report.result == result, name
+            assert report.k == k_value, name
+        assert combine_many([d1, d2], overlap_model, rule="dcr1").k_d == dcr1(
+            d1, d2, overlap_model
+        ).k_d
+
+    def test_average_iterate_of_a_classical_rule(self, abc, overlap_model):
+        rng = random.Random(12)
+        ds = [random_complete(rng, abc) for _ in range(3)]
+        mean = mean_assignment(ds)
+        report = combine_many(ds, overlap_model, PRODUCT, "average-iterate", "yager")
+        assert report.result == yager(yager(mean, mean), mean)
 
     def test_needs_two_sources(self, abc, overlap_model):
         with pytest.raises(ValueError):

@@ -63,6 +63,11 @@ class TestParseShippedScenarios:
         matrix = doc.build_model().matrix()
         assert len(matrix.subsets) == 7
 
+    def test_built_dnumbers_are_read_only(self):
+        scenario = parse_scenario(read(SCENARIOS / "abc_fusion.scn")).build()
+        with pytest.raises(TypeError):
+            scenario.dnumbers["D3"] = scenario.dnumbers["D1"]
+
     def test_accepts_str_input(self):
         doc = parse_scenario("frame: x\ndnumber D:\n  {x}: 1\n")
         assert doc.build().dnumbers["D"].is_complete()
@@ -103,8 +108,10 @@ class TestParseErrors:
         assert excinfo.value.column == 7
 
     def test_invalid_utf8(self):
-        with pytest.raises(ScenarioSyntaxError):
+        with pytest.raises(ScenarioSyntaxError, match="^scenario is not valid UTF-8"):
             parse_scenario(b"frame: \xff\xfe\n")
+        with pytest.raises(ScenarioSyntaxError, match="^table is not valid UTF-8"):
+            parse_f_table(b"1 1 \xff\n")
 
     @pytest.mark.parametrize(
         "name, error",
