@@ -43,7 +43,7 @@ class _Abort(Exception):
 
 
 def _kind(exc: Exception) -> str:
-    name = type(exc).__name__
+    name = type(exc).__name__.lstrip("_")
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 

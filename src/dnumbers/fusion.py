@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -170,16 +171,55 @@ class NonExclusivityModel:
         Rows and columns follow the canonical subset order (by cardinality,
         then element indices).  Capped at ``MAX_MATRIX_FRAME_SIZE`` elements.
         """
-        if self.frame.size > MAX_MATRIX_FRAME_SIZE:
+        n = self.frame.size
+        if n > MAX_MATRIX_FRAME_SIZE:
             raise FrameTooLargeForMatrix(
-                f"a frame of {self.frame.size} elements would need a "
-                f"{2 ** self.frame.size - 1}x{2 ** self.frame.size - 1} matrix; "
+                f"a frame of {n} elements would need a "
+                f"{2 ** n - 1}x{2 ** n - 1} matrix; "
                 f"the cap is {MAX_MATRIX_FRAME_SIZE} elements"
             )
+        # Every pair degree, plus 0.0 and 1.0, as one byte: its rank in the
+        # sorted distinct values.  At the cap that is at most 2 + 66 ranks.
+        values = sorted({0.0, 1.0, *self._pairs.values()})
+        rank = {v: r for r, v in enumerate(values)}
+        elem = [bytearray(n) for _ in range(n)]
+        for (i, j), d in self._pairs.items():
+            elem[i][j] = elem[j][i] = rank[d]
+        for i in range(n):
+            elem[i][i] = rank[1.0]
+        # raise_to[r] maps a rank x to max(x, r).
+        raise_to = [bytes([r]) * r + bytes(range(r, 256)) for r in range(len(values))]
+        # reach[B][j]: rank of the degree between element j and subset B, the
+        # DP max(reach[B minus its lowest element], elem[lowest element]).
+        reach = [bytes(n)]
+        for b in range(1, 1 << n):
+            low = b & -b
+            reach.append(bytes(map(max, reach[b ^ low], elem[low.bit_length() - 1])))
         subsets = tuple(self.frame.subsets())
-        rows = tuple(
-            tuple(self._degree(r, c) for c in subsets) for r in subsets
-        )
+        # Mask 0 rides along so that itemgetter returns a tuple even for a
+        # one-subset frame; its cell, the last, is sliced off.
+        pick = itemgetter(*subsets, 0)
+        overrides: dict[int, list[tuple[int, float]]] = {}
+        for (m1, m2), d in self._overrides.items():
+            overrides.setdefault(m1, []).append((m2, d))
+            overrides.setdefault(m2, []).append((m1, d))
+        position = {m: k for k, m in enumerate(subsets)}
+
+        def row_of(b: int) -> tuple[float, ...]:
+            # ranks[C] = max over j in C of reach[b][j]: start from the empty
+            # set (rank 0, degree 0.0) and double the masks element by element.
+            ranks = b"\0"
+            for r in reach[b]:
+                ranks += ranks.translate(raise_to[r])
+            row = itemgetter(*pick(ranks))(values)[:-1]
+            if b in overrides:
+                cells = list(row)
+                for c, d in overrides[b]:
+                    cells[position[c]] = d
+                row = tuple(cells)
+            return row
+
+        rows = tuple(map(row_of, subsets))
         return DegreeMatrix(self.frame, subsets, rows)
 
     def __repr__(self) -> str:
@@ -199,11 +239,21 @@ class DegreeMatrix:
 
     def exclusive(self) -> "DegreeMatrix":
         """The complementary matrix of exclusive degrees (1 minus each entry)."""
+        complement = _Complement()
+        flip = complement.__getitem__
         return DegreeMatrix(
             self.frame,
             self.subsets,
-            tuple(tuple(1.0 - v for v in row) for row in self.rows),
+            tuple(tuple(map(flip, row)) for row in self.rows),
         )
+
+
+class _Complement(dict):
+    """``1.0 - v`` for each degree ``v``, computed once per distinct value."""
+
+    def __missing__(self, v: float) -> float:
+        self[v] = flipped = 1.0 - v
+        return flipped
 
 
 # --- completeness aggregators --------------------------------------------------

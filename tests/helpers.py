@@ -51,6 +51,32 @@ def brute_dempster(m1: dict[int, float], m2: dict[int, float]) -> dict[int, floa
     return {a: s / (1.0 - k) for a, s in sums.items() if s}
 
 
+def brute_degree(
+    pairs: dict[tuple[int, int], float],
+    overrides: dict[tuple[int, int], float],
+    b: int,
+    c: int,
+) -> float:
+    """Non-exclusive degree of masks ``b`` and ``c`` from plain dicts.
+
+    ``pairs`` maps element index pairs ``(i, j)`` with ``i < j`` and
+    ``overrides`` maps mask pairs ``(m1, m2)`` with ``m1 <= m2``.  Intersecting
+    masks give 1.0; else the override, else the largest element-pair degree
+    (0.0 when none is listed).  It never calls the model.
+    """
+    if b & c:
+        return 1.0
+    key = (min(b, c), max(b, c))
+    if key in overrides:
+        return overrides[key]
+    best = 0.0
+    for i in range(b.bit_length()):
+        for j in range(c.bit_length()):
+            if b >> i & 1 and c >> j & 1:
+                best = max(best, pairs.get((min(i, j), max(i, j)), 0.0))
+    return best
+
+
 def random_complete(rng: random.Random, frame: Frame, max_focal: int = 4) -> DNumber:
     """A random complete assignment with weights bounded away from zero."""
     full = frame.full_mask

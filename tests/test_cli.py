@@ -139,6 +139,12 @@ class TestCombine:
         assert code == 2 and out == ""
         assert err.startswith("error[total-conflict]: combination step 2:")
 
+    def test_unusable_invocation_prints_abort_kind(self, capsys):
+        three = str(FIXTURES / "three_complete.scn")
+        code, out, err = run(capsys, "combine", "--rule", "conjunctive", three)
+        assert code == 2 and out == ""
+        assert err.startswith("error[abort]:")
+
     def test_f_flag_accepts_long_names(self, capsys):
         _, short, _ = run(capsys, "combine", "--rule", "dcr2", "--f", "min", FUSION)
         code, long, _ = run(capsys, "combine", "--rule", "dcr2", "--f", "minimum", FUSION)

@@ -41,7 +41,7 @@ from dnumbers.errors import (
     OutOfRangeValue,
     TotalConflict,
 )
-from helpers import random_complete
+from helpers import brute_degree, random_complete, random_model
 
 # Expanded degree matrix of the a/b/c overlap model, subsets in canonical
 # order {a},{b},{c},{a,b},{a,c},{b,c},{a,b,c}.
@@ -155,6 +155,52 @@ class TestMatrix:
         comp = matrix.exclusive()
         assert comp.rows[0][1] == 0.9
         assert comp.rows[0][0] == 0.0
+
+    @staticmethod
+    def _model_with_overrides(seed: int, size: int) -> NonExclusivityModel:
+        """A seeded ``random_model`` whose element degrees are kept and whose
+        overrides are replaced by up to ``size`` random disjoint subset pairs."""
+        rng = random.Random(seed)
+        frame = Frame([f"e{i}" for i in range(size)])
+        labels = frame.labels
+        pairs = {
+            (labels[i], labels[j]): d
+            for (i, j), d in random_model(rng, frame).element_degrees.items()
+        }
+        overrides = {}
+        for _ in range(size):
+            m1 = rng.randint(1, frame.full_mask)
+            m2 = rng.randint(1, frame.full_mask) & ~m1
+            if m2 and (m2, m1) not in overrides:
+                overrides[(m1, m2)] = rng.random()
+        return NonExclusivityModel(frame, pairs, overrides)
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_rows_match_the_brute_force_oracle(self, size):
+        model = self._model_with_overrides(4000 + size, size)
+        frame = model.frame
+        pairs = dict(model.element_degrees)
+        overrides = dict(model.subset_overrides)
+        matrix = model.matrix()
+        assert matrix.subsets == tuple(
+            sorted(
+                range(1, frame.full_mask + 1),
+                key=lambda m: (m.bit_count(), [i for i in range(size) if m >> i & 1]),
+            )
+        )
+        for b, row in zip(matrix.subsets, matrix.rows, strict=True):
+            assert row == tuple(brute_degree(pairs, overrides, b, c) for c in matrix.subsets)
+
+    def test_exclusive_is_exact_complement_with_overrides(self):
+        model = self._model_with_overrides(4100, 6)
+        assert model.subset_overrides
+        matrix = model.matrix()
+        comp = matrix.exclusive()
+        assert comp.subsets == matrix.subsets
+        for row, comp_row in zip(matrix.rows, comp.rows, strict=True):
+            assert len(comp_row) == len(row)
+            for v, w in zip(row, comp_row):
+                assert w == 1.0 - v
 
     def test_materialization_cap(self):
         frame = Frame([f"e{i}" for i in range(13)])
