@@ -3,11 +3,11 @@
 :func:`_products` puts the product m1(B)*m2(C) of each focal pair on B&C when
 the pair intersects, and splits it by a degree in [0, 1] between B|C and the
 conflict when it does not; the D number rules of :mod:`dnumbers.fusion` take
-that degree from their model.  The classical rules require complete operands
-and fix it: 0 for conjunctive, Dempster and Yager, 1 for Dubois-Prade.  Cell
-sums use ``math.fsum``, so every rule is exactly commutative.  The rules are
-checked against an independent brute-force oracle, ``brute_dempster`` in the
-test helpers.
+that degree from their model, one row of degrees per focal set B.  The
+classical rules require complete operands and fix it: 0 for conjunctive,
+Dempster and Yager, 1 for Dubois-Prade.  Cell sums use ``math.fsum``, so every
+rule is exactly commutative.  The rules are checked against an independent
+brute-force oracle, ``brute_dempster`` in the test helpers.
 """
 
 from __future__ import annotations
@@ -18,34 +18,53 @@ from math import fsum
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import FrameMismatch, IncompleteInput, TotalConflict
+from .errors import FrameMismatch, IncompleteInput, TooManyFocalPairs, TotalConflict
 from .evidence import DNumber, Frame
 
 #: Surviving mass at or below this fraction of Q1*Q2 counts as none: dividing
 #: by it would amplify representation error past any useful tolerance.
 TOTAL_CONFLICT_TOLERANCE = 1e-12
 
+#: Most focal pairs, |F1| * |F2|, that one two-source combination may visit;
+#: beyond it a rule raises TooManyFocalPairs before any product is formed.
+MAX_FOCAL_PAIRS = 1 << 20
+
+
+def _check_pair_budget(m1: DNumber, m2: DNumber) -> None:
+    pairs = len(m1) * len(m2)
+    if pairs > MAX_FOCAL_PAIRS:
+        raise TooManyFocalPairs(
+            f"{len(m1)} x {len(m2)} focal sets make {pairs} pairs; "
+            f"the budget is {MAX_FOCAL_PAIRS}"
+        )
+
 
 def _products(
-    m1: DNumber, m2: DNumber, degree: Callable[[int, int], float]
+    m1: DNumber, m2: DNumber, degrees_from: Callable[[int], Callable[[int], float]]
 ) -> tuple[dict[int, float], float]:
     """Product masses per target subset, in no particular order, plus the conflict.
 
     Each product m1(B)*m2(C) lands on B&C when the pair intersects; a disjoint
-    pair credits degree(B, C)*product to B|C and (1-degree)*product to the
-    conflict.  Cells and conflict are fsum-reduced, making the outcome
-    independent of operand order.
+    pair credits degree*product to B|C and (1-degree)*product to the
+    conflict, where ``degrees_from(B)`` is B's row: a function from each C
+    disjoint from B to their degree.  A row is asked for at B's first disjoint
+    partner, so sources that rarely conflict build few rows.  Cells and
+    conflict are fsum-reduced, making the outcome independent of operand order.
     """
+    _check_pair_budget(m1, m2)
     cells: defaultdict[int, list[float]] = defaultdict(list)
     conflict: list[float] = []
     for b, w1 in m1.items():
+        degree = None
         for c, w2 in m2.items():
             prod = w1 * w2
             inter = b & c
             if inter:
                 cells[inter].append(prod)
             else:
-                u = degree(b, c)
+                if degree is None:
+                    degree = degrees_from(b)
+                u = degree(c)
                 if u > 0.0:
                     cells[b | c].append(u * prod)
                 if u < 1.0:
@@ -53,12 +72,20 @@ def _products(
     return {a: fsum(v) for a, v in cells.items()}, fsum(conflict)
 
 
-def _exclusive(b: int, c: int) -> float:
+def _zero(c: int) -> float:
     return 0.0
 
 
-def _overlapping(b: int, c: int) -> float:
+def _one(c: int) -> float:
     return 1.0
+
+
+def _exclusive(b: int) -> Callable[[int], float]:
+    return _zero
+
+
+def _overlapping(b: int) -> Callable[[int], float]:
+    return _one
 
 
 @dataclass(frozen=True)
@@ -105,6 +132,7 @@ def conjunctive(m1: DNumber, m2: DNumber) -> ConjunctiveResult:
 def disjunctive(m1: DNumber, m2: DNumber) -> DNumber:
     """Disjunctive rule: every product lands on the union of its pair."""
     _require_combinable(m1, m2)
+    _check_pair_budget(m1, m2)
     cells: defaultdict[int, list[float]] = defaultdict(list)
     for b, w1 in m1.items():
         for c, w2 in m2.items():
@@ -148,6 +176,7 @@ def global_conflict(d1: DNumber, d2: DNumber) -> float:
     """
     if d1.frame != d2.frame:
         raise FrameMismatch("operands are defined over different frames")
+    _check_pair_budget(d1, d2)
     return fsum(
         w1 * w2 for b, w1 in d1.items() for c, w2 in d2.items() if not b & c
     )

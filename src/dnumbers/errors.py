@@ -70,6 +70,10 @@ class TotalConflict(FusionError):
         self.step = step
 
 
+class TooManyFocalPairs(FusionError):
+    """Two sources have more focal pairs than one combination may visit."""
+
+
 class FrameTooLargeForMatrix(FusionError):
     """Materializing the full subset-pair matrix is capped by frame size."""
 

@@ -53,12 +53,10 @@ _KEY_LOW = (1 << MAX_FRAME_SIZE) - 1
 def bit_indices(mask: int) -> tuple[int, ...]:
     """Positions of the set bits of ``mask``, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -69,7 +67,7 @@ class Frame:
     encoding of every subset of this frame.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "_full")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(labels)
@@ -86,6 +84,7 @@ class Frame:
             index[label] = i
         self.labels = labels
         self._index = index
+        self._full = (1 << len(labels)) - 1
 
     @property
     def size(self) -> int:
@@ -97,7 +96,7 @@ class Frame:
     @property
     def full_mask(self) -> int:
         """Bitmask of the whole frame."""
-        return (1 << len(self.labels)) - 1
+        return self._full
 
     def index(self, label: str) -> int:
         """Bit position of ``label``; raises ForeignSubset if unknown."""
@@ -116,7 +115,7 @@ class Frame:
     def coerce(self, subset: SubsetLike) -> int:
         """Normalize any accepted subset spelling to a validated bitmask."""
         if isinstance(subset, int):
-            if subset < 0 or subset > self.full_mask:
+            if subset < 0 or subset > self._full:
                 raise ForeignSubset(
                     f"mask {subset:#b} does not fit a frame of {len(self.labels)} elements"
                 )

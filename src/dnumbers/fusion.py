@@ -71,6 +71,24 @@ def _check_degree(value: float) -> float:
     return v
 
 
+_NO_OVERRIDES: Mapping[int, float] = MappingProxyType({})
+
+
+def _max_at(reach: Sequence[float], c: int) -> float:
+    """The largest ``reach[j]`` over the elements j of mask ``c``.
+
+    0.0, never a listed -0.0, when no such entry is positive.
+    """
+    best = 0.0
+    while c:
+        low = c & -c
+        d = reach[low.bit_length() - 1]
+        if d > best:
+            best = d
+        c ^= low
+    return best
+
+
 class NonExclusivityModel:
     """Pairwise non-exclusive degrees over a frame.
 
@@ -83,7 +101,7 @@ class NonExclusivityModel:
     configured.
     """
 
-    __slots__ = ("frame", "_pairs", "_overrides")
+    __slots__ = ("frame", "_pairs", "_overrides", "_elem", "_by_subset")
 
     def __init__(
         self,
@@ -93,6 +111,9 @@ class NonExclusivityModel:
     ):
         self.frame = frame
         elem: dict[tuple[int, int], float] = {}
+        # table[i][j]: the degree of elements i and j, 0.0 where none is
+        # listed.  Listed zeros stay out, so the table holds no -0.0.
+        table = [[0.0] * frame.size for _ in range(frame.size)]
         for (l1, l2), degree in _items(pairs):
             i, j = frame.index(l1), frame.index(l2)
             if i == j:
@@ -102,8 +123,11 @@ class NonExclusivityModel:
             key = (i, j) if i < j else (j, i)
             if key in elem:
                 raise DuplicatePair(f"pair ({l1!r}, {l2!r}) assigned twice")
-            elem[key] = _check_degree(degree)
+            elem[key] = d = _check_degree(degree)
+            if d > 0.0:
+                table[i][j] = table[j][i] = d
         over: dict[tuple[int, int], float] = {}
+        by_subset: dict[int, dict[int, float]] = {}
         for (s1, s2), degree in _items(overrides):
             m1, m2 = frame.coerce(s1), frame.coerce(s2)
             if m1 == 0 or m2 == 0:
@@ -117,9 +141,13 @@ class NonExclusivityModel:
                 raise DuplicatePair(
                     f"subset pair ({frame.labels_of(m1)}, {frame.labels_of(m2)}) assigned twice"
                 )
-            over[key] = _check_degree(degree)
+            over[key] = d = _check_degree(degree)
+            by_subset.setdefault(m1, {})[m2] = d
+            by_subset.setdefault(m2, {})[m1] = d
         self._pairs = elem
         self._overrides = over
+        self._elem = tuple(map(tuple, table))
+        self._by_subset = by_subset
 
     @classmethod
     def exclusive(cls, frame: Frame) -> "NonExclusivityModel":
@@ -154,16 +182,30 @@ class NonExclusivityModel:
         # Trusted path: masks already validated against this frame.
         if m1 & m2:
             return 1.0
-        key = (m1, m2) if m1 <= m2 else (m2, m1)
-        if key in self._overrides:
-            return self._overrides[key]
-        best = 0.0
-        for i in bit_indices(m1):
-            for j in bit_indices(m2):
-                d = self._pairs.get((i, j) if i < j else (j, i), 0.0)
-                if d > best:
-                    best = d
-        return best
+        over = self._by_subset.get(m1, _NO_OVERRIDES)
+        if m2 in over:
+            return over[m2]
+        # The rule of _degrees_from for a single lookup: it reads B's
+        # single-element rows rather than merge them into B's reach, so it
+        # costs O(|B| |C|) instead of O(|B| n + |C|).
+        return max([_max_at(self._elem[i], m2) for i in bit_indices(m1)])
+
+    def _degrees_from(self, b: int) -> Callable[[int], float]:
+        """B's row: a function from each subset C disjoint from B to their degree.
+
+        The override for the pair wins; otherwise the degree is the largest
+        entry of B's reach over the elements of C, where ``reach[j]`` is the
+        largest pair degree between element j and an element of B.  Building
+        the row costs O(|B| n); each lookup in it then costs O(|C|).
+        """
+        rows = [self._elem[i] for i in bit_indices(b)]
+        reach = rows[0] if len(rows) == 1 else tuple(map(max, *rows))
+        over = self._by_subset.get(b, _NO_OVERRIDES)
+
+        def degree(c: int) -> float:
+            return over[c] if c in over else _max_at(reach, c)
+
+        return degree
 
     def matrix(self) -> "DegreeMatrix":
         """The full non-exclusive degree matrix over all non-empty subsets.
@@ -199,10 +241,7 @@ class NonExclusivityModel:
         # Mask 0 rides along so that itemgetter returns a tuple even for a
         # one-subset frame; its cell, the last, is sliced off.
         pick = itemgetter(*subsets, 0)
-        overrides: dict[int, list[tuple[int, float]]] = {}
-        for (m1, m2), d in self._overrides.items():
-            overrides.setdefault(m1, []).append((m2, d))
-            overrides.setdefault(m2, []).append((m1, d))
+        overrides = self._by_subset
         position = {m: k for k, m in enumerate(subsets)}
 
         def row_of(b: int) -> tuple[float, ...]:
@@ -214,7 +253,7 @@ class NonExclusivityModel:
             row = itemgetter(*pick(ranks))(values)[:-1]
             if b in overrides:
                 cells = list(row)
-                for c, d in overrides[b]:
+                for c, d in overrides[b].items():
                     cells[position[c]] = d
                 row = tuple(cells)
             return row
@@ -383,7 +422,7 @@ def residual_conflict(
     conflict and equals it under a fully exclusive model.
     """
     _require_common_frame(d1, d2, model)
-    return _products(d1, d2, model._degree)[1]
+    return _products(d1, d2, model._degrees_from)[1]
 
 
 def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
@@ -398,7 +437,7 @@ def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
             "dcr1 requires complete D numbers "
             f"(Q values {d1.q_value!r} and {d2.q_value!r}); use dcr2 instead"
         )
-    masses, k_d = _products(d1, d2, model._degree)
+    masses, k_d = _products(d1, d2, model._degrees_from)
     # Normalize by the surviving mass itself; algebraically 1 - K_D, but free
     # of the cancellation that 1 - K_D suffers when K_D is close to 1.
     retained = fsum(masses.values())
@@ -423,7 +462,7 @@ def dcr2(
     this coincides with dcr1.  Raises TotalConflict when no mass survives.
     """
     _require_common_frame(d1, d2, model)
-    masses, _ = _products(d1, d2, model._degree)
+    masses, _ = _products(d1, d2, model._degrees_from)
     total = fsum(masses.values())
     q1, q2 = d1.q_value, d2.q_value
     # Relative to Q1*Q2, the mass the products started with.

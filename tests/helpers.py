@@ -77,6 +77,32 @@ def brute_degree(
     return best
 
 
+def brute_residual(
+    m1: dict[int, float],
+    m2: dict[int, float],
+    pairs: dict[tuple[int, int], float],
+    overrides: dict[tuple[int, int], float],
+) -> tuple[dict[int, float], float]:
+    """The degree-weighted product cells and the residual conflict K_D.
+
+    Works on plain ``{mask: weight}`` dicts and the plain degree dicts of
+    :func:`brute_degree`: every focal pair's product goes to B&C when the
+    pair intersects; otherwise ``degree * product`` goes to B|C and the rest
+    to K_D.  Cells that received nothing are left out.  It never calls the
+    package.
+    """
+    parts: dict[int, list[float]] = {}
+    conflict = []
+    for b, w1 in m1.items():
+        for c, w2 in m2.items():
+            u = brute_degree(pairs, overrides, b, c)
+            target = b & c or b | c
+            parts.setdefault(target, []).append(u * w1 * w2)
+            conflict.append((1.0 - u) * w1 * w2)
+    cells = {a: fsum(v) for a, v in parts.items() if fsum(v)}
+    return cells, fsum(conflict)
+
+
 def random_complete(rng: random.Random, frame: Frame, max_focal: int = 4) -> DNumber:
     """A random complete assignment with weights bounded away from zero."""
     full = frame.full_mask

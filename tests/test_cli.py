@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dnumbers import AGGREGATORS
+from dnumbers import AGGREGATORS, classical
 from dnumbers.cli import build_parser, run_cli
 from dnumbers.fusion import RULES, STRATEGIES
 from conftest import FIXTURES, REPO, SCENARIOS
@@ -144,6 +144,13 @@ class TestCombine:
         code, out, err = run(capsys, "combine", "--rule", "conjunctive", three)
         assert code == 2 and out == ""
         assert err.startswith("error[abort]:")
+
+    def test_focal_pair_budget_exits_2_with_its_kind(self, capsys, monkeypatch):
+        # abc_fusion.scn combines 3 x 2 focal sets.
+        monkeypatch.setattr(classical, "MAX_FOCAL_PAIRS", 5)
+        code, out, err = run(capsys, "combine", "--rule", "dcr2", FUSION)
+        assert code == 2 and out == ""
+        assert err.startswith("error[too-many-focal-pairs]: 3 x 2 focal sets make 6 pairs")
 
     def test_f_flag_accepts_long_names(self, capsys):
         _, short, _ = run(capsys, "combine", "--rule", "dcr2", "--f", "min", FUSION)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dnumbers import BeliefSummary, DNumber, Frame
-from dnumbers.evidence import MAX_FRAME_SIZE
+from dnumbers.evidence import MAX_FRAME_SIZE, bit_indices
 from dnumbers.errors import (
     DuplicateLabel,
     EmptyFrame,
@@ -20,6 +20,10 @@ def canonical(mask: int) -> tuple[int, tuple[int, ...]]:
     """The canonical subset order spelled out: cardinality, then element indices."""
     indices = tuple(i for i in range(MAX_FRAME_SIZE) if mask >> i & 1)
     return (len(indices), indices)
+
+
+def naive_bit_indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def frame_of(size: int) -> Frame:
@@ -99,6 +103,24 @@ class TestFrame:
     def test_subsets_come_in_canonical_order(self):
         frame = frame_of(10)
         assert list(frame.subsets()) == sorted(range(1, frame.full_mask + 1), key=canonical)
+
+    def test_full_mask_covers_every_element(self):
+        for size in range(1, MAX_FRAME_SIZE + 1):
+            frame = frame_of(size)
+            assert frame.full_mask == sum(1 << i for i in range(size))
+            assert frame.coerce(frame.full_mask) == frame.full_mask
+            with pytest.raises(ForeignSubset):
+                frame.coerce(frame.full_mask + 1)
+
+    def test_bit_indices_on_every_mask_of_twelve_elements(self):
+        for mask in range(frame_of(12).full_mask + 1):
+            assert bit_indices(mask) == naive_bit_indices(mask)
+
+    def test_bit_indices_on_sampled_masks_at_the_cap(self):
+        rng = random.Random(2424)
+        for _ in range(20000):
+            mask = rng.getrandbits(MAX_FRAME_SIZE)
+            assert bit_indices(mask) == naive_bit_indices(mask)
 
     def test_equality_is_by_labels(self):
         assert Frame(["a", "b"]) == Frame(["a", "b"])

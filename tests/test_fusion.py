@@ -39,9 +39,12 @@ from dnumbers.errors import (
     IntersectingPair,
     InvalidAggregator,
     OutOfRangeValue,
+    TooManyFocalPairs,
     TotalConflict,
 )
-from helpers import brute_degree, random_complete, random_model
+from dnumbers import classical
+from dnumbers.classical import MAX_FOCAL_PAIRS
+from helpers import brute_degree, brute_residual, random_complete, random_model
 
 # Expanded degree matrix of the a/b/c overlap model, subsets in canonical
 # order {a},{b},{c},{a,b},{a,c},{b,c},{a,b,c}.
@@ -384,6 +387,156 @@ class TestResidualConflict:
     def test_accepts_incomplete_inputs(self, abc, overlap_model, partial_sources):
         d1, d2 = partial_sources
         assert residual_conflict(d1, d2, overlap_model) >= 0.0
+
+
+def sparse_case(seed: int, size: int, q: tuple[float, float] = (1.0, 1.0)):
+    """Two seeded sources of 1- to 3-element focal sets with total masses ``q``,
+    and a dense model, as plain dicts and as package objects.
+
+    Element-pair degrees are drawn from a palette holding -0.0, 0.0, 1.0 and a
+    repeated value.  A quarter of the disjoint focal pairs that occur get an
+    override, about half of them spelled larger mask first.
+    """
+    rng = random.Random(seed)
+    palette = (-0.0, 0.0, 1.0, 0.25, 0.25, 0.5, rng.random())
+    sources = []
+    for total_mass in q:
+        masks: set[int] = set()
+        target = rng.randint(8, 24)
+        while len(masks) < target:
+            masks.add(sum(1 << i for i in rng.sample(range(size), rng.randint(1, 3))))
+        weights = {m: rng.uniform(0.05, 1.0) for m in sorted(masks)}
+        total = fsum(weights.values())
+        sources.append({m: total_mass * w / total for m, w in weights.items()})
+    m1, m2 = sources
+    pairs = {
+        (i, j): rng.choice(palette)
+        for i in range(size)
+        for j in range(i + 1, size)
+        if rng.random() < 0.7
+    }
+    disjoint = sorted({(min(b, c), max(b, c)) for b in m1 for c in m2 if not b & c})
+    overrides = {key: rng.choice(palette) for key in rng.sample(disjoint, len(disjoint) // 4)}
+    frame = Frame([f"e{i}" for i in range(size)])
+    labels = frame.labels
+    model = NonExclusivityModel(
+        frame,
+        {(labels[i], labels[j]): d for (i, j), d in pairs.items()},
+        {(key if rng.random() < 0.5 else key[::-1]): d for key, d in overrides.items()},
+    )
+    return m1, m2, pairs, overrides, model
+
+
+class TestLazyDegrees:
+    """Degree lookups and the non-exclusive kernel against the plain-dict oracles."""
+
+    @staticmethod
+    def assert_same(actual: float, expected: float) -> None:
+        assert actual == expected and repr(actual) == repr(expected)
+
+    @pytest.mark.parametrize("size", range(16, 25))
+    def test_degree_matches_the_brute_force_oracle(self, size):
+        m1, m2, pairs, overrides, model = sparse_case(5000 + size, size)
+        assert overrides and -0.0 in pairs.values()
+        rng = random.Random(size)
+        wide = [rng.randint(1, model.frame.full_mask) for _ in range(10)]
+        for b, c in [(b, c) for b in m1 for c in m2] + [(b, c) for b in wide for c in wide]:
+            expected = brute_degree(pairs, overrides, b, c)
+            self.assert_same(model.degree(b, c), expected)
+            self.assert_same(model.degree(c, b), expected)
+        for b in m1:
+            row = model._degrees_from(b)
+            for c in m2:
+                if not b & c:
+                    self.assert_same(row(c), brute_degree(pairs, overrides, b, c))
+
+    def test_listed_zeros_read_back_as_positive_zero(self, abc):
+        model = NonExclusivityModel(
+            abc, {("a", "b"): -0.0, ("a", "c"): 0.0}, {(("b",), ("a", "c")): -0.0}
+        )
+        self.assert_same(model.degree("a", "b"), 0.0)
+        self.assert_same(model.degree(("a",), ("b", "c")), 0.0)
+        self.assert_same(model.degree(("a", "c"), "b"), -0.0)
+        self.assert_same(model.degree("b", ("a", "c")), -0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kernel_matches_the_residual_oracle(self, seed):
+        m1, m2, pairs, overrides, model = sparse_case(6000 + seed, 20)
+        frame = model.frame
+        d1, d2 = DNumber(frame, m1), DNumber(frame, m2)
+        cells, k_d = brute_residual(m1, m2, pairs, overrides)
+        assert abs(residual_conflict(d1, d2, model) - k_d) <= 1e-12
+        retained = fsum(cells.values())
+        masses = dcr1(d1, d2, model).result.masses
+        assert masses.keys() == cells.keys()
+        for a, v in cells.items():
+            assert abs(masses[a] - v / retained) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dcr2_matches_the_residual_oracle(self, seed):
+        q = (0.6 + seed / 40, 0.9 - seed / 40)
+        m1, m2, pairs, overrides, model = sparse_case(7000 + seed, 20, q)
+        frame = model.frame
+        d1, d2 = DNumber(frame, m1), DNumber(frame, m2)
+        cells, k_d = brute_residual(m1, m2, pairs, overrides)
+        assert abs(residual_conflict(d1, d2, model) - k_d) <= 1e-12
+        scale = d1.q_value * d2.q_value / fsum(cells.values())
+        masses = dcr2(d1, d2, model).result.masses
+        assert masses.keys() == cells.keys()
+        for a, v in cells.items():
+            assert abs(masses[a] - v * scale) <= 1e-12
+
+
+#: Every entry point guarded by the focal-pair budget, as ``call(d1, d2, model)``.
+BUDGETED = {
+    "conjunctive": lambda d1, d2, model: conjunctive(d1, d2),
+    "disjunctive": lambda d1, d2, model: disjunctive(d1, d2),
+    "dempster": lambda d1, d2, model: dempster(d1, d2),
+    "yager": lambda d1, d2, model: yager(d1, d2),
+    "dubois_prade": lambda d1, d2, model: dubois_prade(d1, d2),
+    "global_conflict": lambda d1, d2, model: global_conflict(d1, d2),
+    "residual_conflict": residual_conflict,
+    "dcr1": dcr1,
+    "dcr2": dcr2,
+}
+
+
+def first_sets(frame: Frame, count: int) -> DNumber:
+    """A complete D number on the masks 1..count, equally weighted."""
+    return DNumber(frame, {m: 1.0 / count for m in range(1, count + 1)})
+
+
+class TestFocalPairBudget:
+    @pytest.fixture(scope="class")
+    def just_above(self):
+        # 17 * 61681 = 2^20 + 1
+        frame = Frame([f"e{i}" for i in range(16)])
+        return first_sets(frame, 17), first_sets(frame, 61681), NonExclusivityModel(frame)
+
+    @pytest.mark.parametrize("name", BUDGETED)
+    def test_one_pair_above_the_budget_raises(self, just_above, name):
+        d1, d2, model = just_above
+        assert len(d1) * len(d2) == MAX_FOCAL_PAIRS + 1
+        with pytest.raises(TooManyFocalPairs, match="budget"):
+            BUDGETED[name](d1, d2, model)
+        with pytest.raises(TooManyFocalPairs):
+            BUDGETED[name](d2, d1, model)
+
+    def test_one_pair_below_the_budget_runs(self):
+        frame = Frame([f"e{i}" for i in range(11)])
+        d1, d2 = first_sets(frame, 1023), first_sets(frame, 1025)
+        assert len(d1) * len(d2) == MAX_FOCAL_PAIRS - 1
+        assert 0.0 < global_conflict(d1, d2) < 1.0
+
+    @pytest.mark.parametrize("name", BUDGETED)
+    def test_every_entry_point_checks_the_budget(self, monkeypatch, abc, overlap_model, name):
+        monkeypatch.setattr(classical, "MAX_FOCAL_PAIRS", 6)
+        call = BUDGETED[name]
+        two, three = first_sets(abc, 2), first_sets(abc, 3)
+        call(two, three, overlap_model)
+        call(three, two, overlap_model)
+        with pytest.raises(TooManyFocalPairs):
+            call(first_sets(abc, 7), DNumber.vacuous(abc), overlap_model)
 
 
 class TestCombineMany:
