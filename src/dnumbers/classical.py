@@ -145,21 +145,31 @@ def dempster(m1: DNumber, m2: DNumber) -> DNumber:
 
     Raises TotalConflict when K is within ``TOTAL_CONFLICT_TOLERANCE`` of 1.
     """
+    return _dempster(m1, m2)[0]
+
+
+def _dempster(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
+    """:func:`dempster` and the global conflict K its one kernel pass found."""
     _require_combinable(m1, m2)
     masses, k = _products(m1, m2, _exclusive)
     if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"global conflict K = {k!r}; combination is undefined")
     denom = 1.0 - k
-    return DNumber(m1.frame, {a: v / denom for a, v in masses.items()})
+    return DNumber(m1.frame, {a: v / denom for a, v in masses.items()}), k
 
 
 def yager(m1: DNumber, m2: DNumber) -> DNumber:
     """Yager's rule: the global conflict is moved onto the whole frame."""
+    return _yager(m1, m2)[0]
+
+
+def _yager(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
+    """:func:`yager` and the global conflict K its one kernel pass found."""
     _require_combinable(m1, m2)
     masses, k = _products(m1, m2, _exclusive)
     full = m1.frame.full_mask
     masses[full] = masses.get(full, 0.0) + k
-    return DNumber(m1.frame, masses)
+    return DNumber(m1.frame, masses), k
 
 
 def dubois_prade(m1: DNumber, m2: DNumber) -> DNumber:

@@ -210,19 +210,36 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> int:
     matrix = model.matrix()
     if args.kind == "exclusive":
         matrix = matrix.exclusive()
-    headers = [fmt_subset(frame.labels_of(mask)) for mask in matrix.subsets]
-    cells = [[f"{v:g}" for v in row] for row in matrix.rows]
-    width = max(len(h) for h in headers)
-    width = max(width, max(len(c) for row in cells for c in row))
-    lines = [" ".join([" " * width] + [h.rjust(width) for h in headers])]
-    for header, row in zip(headers, cells):
-        lines.append(" ".join([header.rjust(width)] + [c.rjust(width) for c in row]))
-    machine = {
-        "kind": "exclusive" if args.kind == "exclusive" else "nonexclusive",
-        "subsets": [list(frame.labels_of(mask)) for mask in matrix.subsets],
-        "rows": [list(row) for row in matrix.rows],
-    }
-    return _emit(args, "\n".join(lines) + "\n", machine)
+    labels = [frame.labels_of(mask) for mask in matrix.subsets]
+    # Only the distinct values that some cell holds are formatted, once each;
+    # every row indexes those strings and is written as soon as it is built.
+    shown, overrides = matrix._shown()
+    values = matrix._values
+    write = sys.stdout.write
+    if args.output == "machine":
+        # The bytes of json.dumps({"kind", "rows", "subsets"}, sort_keys=True,
+        # indent=2) + "\n"; labels may need escapes, so json.dumps them.
+        kind = "exclusive" if args.kind == "exclusive" else "nonexclusive"
+        table = [repr(v) if r in shown else None for r, v in enumerate(values)]
+        write('{\n  "kind": "%s",\n  "rows": [\n' % kind)
+        for k, row in enumerate(matrix._rows_as(table, repr)):
+            write((",\n" if k else "") + "    [\n      " + ",\n      ".join(row) + "\n    ]")
+        write('\n  ],\n  "subsets": [\n')
+        write(",\n".join(
+            "    [\n      " + ",\n      ".join(map(json.dumps, subset)) + "\n    ]"
+            for subset in labels
+        ))
+        write("\n  ]\n}\n")
+        return EXIT_OK
+    headers = [fmt_subset(subset) for subset in labels]
+    texts = {r: f"{values[r]:g}" for r in shown}
+    width = max(map(len, [*headers, *texts.values(), *map("{:g}".format, overrides)]))
+    table = [texts[r].rjust(width) if r in texts else None for r in range(len(values))]
+    write(" ".join([" " * width] + [h.rjust(width) for h in headers]) + "\n")
+    rows = matrix._rows_as(table, lambda d: f"{d:g}".rjust(width))
+    for header, row in zip(headers, rows):
+        write(header.rjust(width) + " " + " ".join(row) + "\n")
+    return EXIT_OK
 
 
 # --- validate -------------------------------------------------------------------

@@ -17,18 +17,18 @@ from dataclasses import dataclass, field
 from math import fsum
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .classical import (
     TOTAL_CONFLICT_TOLERANCE,
     ConjunctiveResult,
+    _dempster,
     _products,
+    _yager,
     conjunctive,
-    dempster,
     disjunctive,
     dubois_prade,
     global_conflict,
-    yager,
 )
 from .errors import (
     DuplicatePair,
@@ -238,28 +238,19 @@ class NonExclusivityModel:
             low = b & -b
             reach.append(bytes(map(max, reach[b ^ low], elem[low.bit_length() - 1])))
         subsets = tuple(self.frame.subsets())
-        # Mask 0 rides along so that itemgetter returns a tuple even for a
-        # one-subset frame; its cell, the last, is sliced off.
-        pick = itemgetter(*subsets, 0)
-        overrides = self._by_subset
-        position = {m: k for k, m in enumerate(subsets)}
 
-        def row_of(b: int) -> tuple[float, ...]:
+        def ranks_of(b: int) -> bytes:
             # ranks[C] = max over j in C of reach[b][j]: start from the empty
             # set (rank 0, degree 0.0) and double the masks element by element.
             ranks = b"\0"
             for r in reach[b]:
                 ranks += ranks.translate(raise_to[r])
-            row = itemgetter(*pick(ranks))(values)[:-1]
-            if b in overrides:
-                cells = list(row)
-                for c, d in overrides[b].items():
-                    cells[position[c]] = d
-                row = tuple(cells)
-            return row
+            return ranks
 
-        rows = tuple(map(row_of, subsets))
-        return DegreeMatrix(self.frame, subsets, rows)
+        ranks = tuple(map(ranks_of, subsets))
+        return DegreeMatrix._from_ranks(
+            self.frame, subsets, ranks, tuple(values), self._by_subset
+        )
 
     def __repr__(self) -> str:
         return (
@@ -270,29 +261,90 @@ class NonExclusivityModel:
 
 @dataclass(frozen=True)
 class DegreeMatrix:
-    """A materialized symmetric degree matrix over the non-empty subsets."""
+    """A materialized symmetric degree matrix over the non-empty subsets.
+
+    ``rows[k][l]`` is the degree of ``subsets[k]`` and ``subsets[l]``, both in
+    canonical order.  Besides the rows, a matrix carries what they were built
+    from, one byte per cell: for each row, the rank of every cell's degree in
+    the few distinct values of the model, indexed by column mask (mask 0, the
+    empty set, included), plus the model's overrides by subset, which win over
+    the ranked cells they cover.  :meth:`exclusive` and the CLI's renderer map
+    those ranks instead of visiting floats.  The carried fields take no part
+    in ``==``, hashing or ``repr``.
+    """
 
     frame: Frame
     subsets: tuple[int, ...]
     rows: tuple[tuple[float, ...], ...]
+    _ranks: tuple[bytes, ...] = field(repr=False, compare=False)
+    _values: tuple[float, ...] = field(repr=False, compare=False)
+    _overrides: Mapping[int, Mapping[int, float]] = field(repr=False, compare=False)
+
+    @classmethod
+    def _from_ranks(
+        cls,
+        frame: Frame,
+        subsets: tuple[int, ...],
+        ranks: tuple[bytes, ...],
+        values: tuple[float, ...],
+        overrides: Mapping[int, Mapping[int, float]],
+    ) -> "DegreeMatrix":
+        rows = tuple(_rows_through(subsets, ranks, overrides, values, float))
+        return cls(frame, subsets, rows, ranks, values, overrides)
 
     def exclusive(self) -> "DegreeMatrix":
         """The complementary matrix of exclusive degrees (1 minus each entry)."""
-        complement = _Complement()
-        flip = complement.__getitem__
-        return DegreeMatrix(
+        return DegreeMatrix._from_ranks(
             self.frame,
             self.subsets,
-            tuple(tuple(map(flip, row)) for row in self.rows),
+            self._ranks,
+            tuple([1.0 - v for v in self._values]),
+            {
+                b: {c: 1.0 - d for c, d in over.items()}
+                for b, over in self._overrides.items()
+            },
         )
 
+    def _shown(self) -> tuple[set[int], list[float]]:
+        """What the cells of ``rows`` hold: the ranks of the cells that no
+        override covers, and the override of each cell that one covers."""
+        seen = b""
+        for b, ranks in zip(self.subsets, self._ranks):
+            over = self._overrides.get(b)
+            if over:
+                # The diagonal cell, degree 1.0, is never overridden.
+                ranks = bytearray(ranks)
+                for c in over:
+                    ranks[c] = ranks[b]
+            # Mask 0, the empty set, has no cell.
+            new = ranks[1:].translate(None, seen)
+            if new:
+                seen += bytes(set(new))
+        return set(seen), [d for over in self._overrides.values() for d in over.values()]
 
-class _Complement(dict):
-    """``1.0 - v`` for each degree ``v``, computed once per distinct value."""
+    def _rows_as(
+        self, table: Sequence[str | None], cell: Callable[[float], str]
+    ) -> Iterator[tuple[str, ...]]:
+        """Each row as strings: a rank r as ``table[r]``, an override d as ``cell(d)``."""
+        return _rows_through(self.subsets, self._ranks, self._overrides, table, cell)
 
-    def __missing__(self, v: float) -> float:
-        self[v] = flipped = 1.0 - v
-        return flipped
+
+def _rows_through(subsets, ranks, overrides, table, cell) -> Iterator[tuple]:
+    """The rows of ranked cells in canonical order, each rank r read as
+    ``table[r]`` and each override d of the row as ``cell(d)``."""
+    # Mask 0 rides along so that itemgetter returns a tuple even for a
+    # one-subset frame; its cell, the last, is sliced off.
+    pick = itemgetter(*subsets, 0)
+    position = {m: k for k, m in enumerate(subsets)}
+    for b, row_ranks in zip(subsets, ranks):
+        row = itemgetter(*pick(row_ranks))(table)[:-1]
+        over = overrides.get(b)
+        if over:
+            cells = list(row)
+            for c, d in over.items():
+                cells[position[c]] = cell(d)
+            row = tuple(cells)
+        yield row
 
 
 # --- completeness aggregators --------------------------------------------------
@@ -500,25 +552,38 @@ def mean_assignment(ds: Sequence[DNumber]) -> DNumber:
     )
 
 
-def _classical_step(
-    name: str, rule: Callable[[DNumber, DNumber], DNumber], k: bool = True
-) -> Callable[..., FusionReport]:
+def _classical_step(name: str, rule: Callable[..., tuple]) -> Callable[..., FusionReport]:
+    """A step from ``rule(d1, d2) -> (result, K)``: K comes with the result."""
+
     def step(d1, d2, model, f) -> FusionReport:
-        result = rule(d1, d2)
-        conflict = global_conflict(d1, d2) if k else None
-        return FusionReport(result, name, d1.q_value, d2.q_value, k=conflict)
+        result, k = rule(d1, d2)
+        return FusionReport(result, name, d1.q_value, d2.q_value, k=k)
 
     return step
+
+
+def _conjunctive(d1: DNumber, d2: DNumber) -> tuple[ConjunctiveResult, float]:
+    result = conjunctive(d1, d2)
+    return result, result.k
+
+
+def _disjunctive(d1: DNumber, d2: DNumber) -> tuple[DNumber, None]:
+    return disjunctive(d1, d2), None
+
+
+def _dubois_prade(d1: DNumber, d2: DNumber) -> tuple[DNumber, float]:
+    # Its kernel sends every disjoint product to the union, so it finds no K.
+    return dubois_prade(d1, d2), global_conflict(d1, d2)
 
 
 #: Every two-source rule as a step ``step(d1, d2, model, f)``; the classical
 #: rules ignore the model and f, and dcr1 ignores f.
 RULES: dict[str, Callable[..., FusionReport]] = {
-    "conjunctive": _classical_step("conjunctive", conjunctive),
-    "disjunctive": _classical_step("disjunctive", disjunctive, k=False),
-    "dempster": _classical_step("dempster", dempster),
-    "yager": _classical_step("yager", yager),
-    "dubois-prade": _classical_step("dubois-prade", dubois_prade),
+    "conjunctive": _classical_step("conjunctive", _conjunctive),
+    "disjunctive": _classical_step("disjunctive", _disjunctive),
+    "dempster": _classical_step("dempster", _dempster),
+    "yager": _classical_step("yager", _yager),
+    "dubois-prade": _classical_step("dubois-prade", _dubois_prade),
     "dcr1": lambda d1, d2, model, f: dcr1(d1, d2, model),
     "dcr2": dcr2,
 }

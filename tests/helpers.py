@@ -5,6 +5,7 @@ plausibility and Dempster's rule are summed by visiting every one of the 2^N
 subsets, so they stay independent of the code paths they check.
 """
 
+import json
 import random
 from math import fsum
 
@@ -156,3 +157,28 @@ def non_conflicting_pair(rng: random.Random, frame: Frame) -> tuple[DNumber, DNu
         return DNumber(frame, acc)
 
     return one(), one()
+
+
+def render_matrix(matrix, kind: str, output: str) -> str:
+    """What ``dnumbers matrix KIND --output OUTPUT`` prints for ``matrix``.
+
+    The renderer the CLI used before it read the matrix's ranks: every cell
+    is formatted on its own, the human table is joined before it is
+    returned, and the JSON comes from ``json.dumps``.
+    """
+    frame = matrix.frame
+    headers = ["{%s}" % ", ".join(frame.labels_of(mask)) for mask in matrix.subsets]
+    cells = [[f"{v:g}" for v in row] for row in matrix.rows]
+    width = max(len(h) for h in headers)
+    width = max(width, max(len(c) for row in cells for c in row))
+    lines = [" ".join([" " * width] + [h.rjust(width) for h in headers])]
+    for header, row in zip(headers, cells):
+        lines.append(" ".join([header.rjust(width)] + [c.rjust(width) for c in row]))
+    machine = {
+        "kind": "exclusive" if kind == "exclusive" else "nonexclusive",
+        "subsets": [list(frame.labels_of(mask)) for mask in matrix.subsets],
+        "rows": [list(row) for row in matrix.rows],
+    }
+    if output == "machine":
+        return json.dumps(machine, sort_keys=True, indent=2) + "\n"
+    return "\n".join(lines) + "\n"

@@ -1,13 +1,15 @@
 import io
 import json
+import random
 import sys
 
 import pytest
 
-from dnumbers import AGGREGATORS, classical
+from dnumbers import AGGREGATORS, classical, fusion, parse_scenario
 from dnumbers.cli import build_parser, run_cli
 from dnumbers.fusion import RULES, STRATEGIES
 from conftest import FIXTURES, REPO, SCENARIOS
+from helpers import render_matrix
 
 BAD = FIXTURES / "bad"
 GOLDEN = FIXTURES / "golden"
@@ -145,6 +147,24 @@ class TestCombine:
         assert code == 2 and out == ""
         assert err.startswith("error[abort]:")
 
+    def test_yager_fold_makes_one_kernel_pass_per_step(self, capsys, monkeypatch):
+        passes = []
+
+        def counted(fn):
+            def wrapper(*args):
+                passes.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        for module, name in ((classical, "_products"), (classical, "global_conflict"),
+                             (fusion, "_products"), (fusion, "global_conflict")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        three = str(FIXTURES / "three_complete.scn")
+        code, _, _ = run(capsys, "combine", "--rule", "yager", three)
+        assert code == 0
+        assert passes == ["_products", "_products"]
+
     def test_focal_pair_budget_exits_2_with_its_kind(self, capsys, monkeypatch):
         # abc_fusion.scn combines 3 x 2 focal sets.
         monkeypatch.setattr(classical, "MAX_FOCAL_PAIRS", 5)
@@ -263,6 +283,68 @@ class TestMatrix:
         code, _, err = run(capsys, "matrix", "expand", str(BAD / "frame_13.scn"))
         assert code == 2
         assert err.startswith("error[frame-too-large-for-matrix]:")
+
+    @staticmethod
+    def _scenario(seed: int, size: int) -> str:
+        """A seeded model on ``size`` elements whose first labels hold a
+        quote, a backslash and a non-ASCII letter: about 70% of the element
+        pairs listed, a -0.0 override on the first two elements, and up to
+        ``size`` random overrides."""
+        rng = random.Random(seed)
+        labels = ['q"', "b\\s", "\u00e9"] + [f"e{i}" for i in range(3, size)]
+        labels = labels[:size]
+
+        def subset(mask):
+            return "{%s}" % ", ".join(l for i, l in enumerate(labels) if mask >> i & 1)
+
+        lines = ["frame: " + ", ".join(labels), "nonexclusivity:"]
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < 0.7:
+                    lines.append(f"  {labels[i]} ~ {labels[j]}: {rng.random()!r}")
+        lines.append("overrides:")
+        overrides = {(1, 2): -0.0} if size >= 2 else {}
+        full = (1 << size) - 1
+        for _ in range(size):
+            m1 = rng.randint(1, full)
+            m2 = rng.randint(1, full) & ~m1
+            if m2 and (m1, m2) not in overrides and (m2, m1) not in overrides:
+                overrides[(m1, m2)] = rng.random()
+        for (m1, m2), d in overrides.items():
+            lines.append(f"  {subset(m1)} ~ {subset(m2)}: {d!r}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_rendering_matches_the_oracle(self, capsys, tmp_path, size):
+        text = self._scenario(5000 + size, size)
+        path = tmp_path / "matrix.scn"
+        path.write_bytes(text.encode("utf-8"))
+        matrix = parse_scenario(text.encode("utf-8")).build_model().matrix()
+        for kind, expected in (("expand", matrix), ("exclusive", matrix.exclusive())):
+            for output in ("human", "machine"):
+                code, out, err = run(capsys, "matrix", kind, str(path), "--output", output)
+                assert (code, err) == (0, "")
+                assert out == render_matrix(expected, kind, output)
+
+    def test_width_comes_from_the_printed_cells(self, capsys, tmp_path):
+        # The override hides the only cells of the pair degree, so neither
+        # 0.123457 nor its complement 0.876543 is printed or sets the width.
+        path = tmp_path / "hidden.scn"
+        path.write_text("frame: a, b\nnonexclusivity:\n  a ~ b: 0.1234567\n"
+                        "overrides:\n  {a} ~ {b}: 0.5\n")
+        model = parse_scenario(path.read_bytes()).build_model()
+        code, out, _ = run(capsys, "matrix", "expand", str(path))
+        assert code == 0
+        assert out == render_matrix(model.matrix(), "expand", "human")
+        assert out.splitlines() == [
+            "          {a}    {b} {a, b}",
+            "   {a}      1    0.5      1",
+            "   {b}    0.5      1      1",
+            "{a, b}      1      1      1",
+        ]
+        code, out, _ = run(capsys, "matrix", "exclusive", str(path), "--output", "machine")
+        assert out == render_matrix(model.matrix().exclusive(), "exclusive", "machine")
+        assert "0.8765433" not in out
 
 
 class TestValidate:

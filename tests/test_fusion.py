@@ -1,5 +1,6 @@
 import random
 from math import fsum
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from dnumbers import (
     dubois_prade,
     global_conflict,
     mean_assignment,
+    parse_scenario,
     residual_conflict,
     validate_f_points,
     yager,
@@ -204,6 +206,47 @@ class TestMatrix:
             assert len(comp_row) == len(row)
             for v, w in zip(row, comp_row):
                 assert w == 1.0 - v
+
+    def test_exclusive_repr_matches_one_minus_each_cell(self):
+        model = self._model_with_overrides(4200, 5)
+        b, c = 1, 2  # {e0} and {e1}
+        overrides = {pair: d for pair, d in model.subset_overrides.items() if pair != (b, c)}
+        overrides[(b, c)] = -0.0
+        labels = model.frame.labels
+        model = NonExclusivityModel(
+            model.frame,
+            {(labels[i], labels[j]): d for (i, j), d in model.element_degrees.items()},
+            overrides,
+        )
+        matrix = model.matrix()
+        k, l = matrix.subsets.index(b), matrix.subsets.index(c)
+        assert repr(matrix.rows[k][l]) == repr(matrix.rows[l][k]) == "-0.0"
+        comp = matrix.exclusive()
+        for row, comp_row in zip(matrix.rows, comp.rows, strict=True):
+            assert list(map(repr, comp_row)) == [repr(1.0 - v) for v in row]
+        twice = comp.exclusive()
+        for comp_row, twice_row in zip(comp.rows, twice.rows, strict=True):
+            assert list(map(repr, twice_row)) == [repr(1.0 - v) for v in comp_row]
+
+    def test_equality_and_repr_ignore_the_carried_ranks(self, abc):
+        # Overrides cover every cell that the listed a/b degree reaches.
+        covered = [(("a",), ("b",)), (("a",), ("b", "c")), (("b",), ("a", "c"))]
+        overridden = NonExclusivityModel(
+            abc, {("a", "b"): 0.3}, {pair: 0.0 for pair in covered}
+        ).matrix()
+        listed = NonExclusivityModel.exclusive(abc).matrix()
+        assert listed._ranks != overridden._ranks
+        assert listed._values != overridden._values
+        assert listed == overridden and hash(listed) == hash(overridden)
+        assert repr(listed) == repr(overridden)
+        assert "_ranks" not in repr(listed)
+        assert listed.exclusive() == overridden.exclusive()
+
+    def test_one_element_frame(self):
+        matrix = NonExclusivityModel(Frame(["x"])).matrix()
+        assert matrix.subsets == (1,)
+        assert matrix.rows == ((1.0,),)
+        assert matrix.exclusive().rows == ((0.0,),)
 
     def test_materialization_cap(self):
         frame = Frame([f"e{i}" for i in range(13)])
@@ -537,6 +580,39 @@ class TestFocalPairBudget:
         call(three, two, overlap_model)
         with pytest.raises(TooManyFocalPairs):
             call(first_sets(abc, 7), DNumber.vacuous(abc), overlap_model)
+
+
+class TestClassicalSteps:
+    """The classical steps take K from their one kernel pass; it must equal
+    ``global_conflict``, an fsum of the same products."""
+
+    @staticmethod
+    def golden_inputs():
+        root = Path(__file__).resolve().parent
+        paths = sorted((root.parent / "scenarios").glob("*.scn"))
+        paths += sorted((root / "fixtures").glob("three_*.scn"))
+        for path in paths:
+            scenario = parse_scenario(path.read_bytes()).build()
+            ds = list(scenario.dnumbers.values())
+            for d1 in ds:
+                for d2 in ds:
+                    yield path.name, d1, d2, scenario.model
+
+    @pytest.mark.parametrize("rule", ["conjunctive", "dempster", "yager", "dubois-prade"])
+    def test_k_is_global_conflict_on_the_golden_inputs(self, rule):
+        checked = 0
+        for _, d1, d2, model in self.golden_inputs():
+            try:
+                report = RULES[rule](d1, d2, model, PRODUCT)
+            except (IncompleteInput, TotalConflict):
+                continue
+            assert report.k == global_conflict(d1, d2)
+            checked += 1
+        assert checked >= 10
+
+    def test_disjunctive_reports_no_k(self, abc):
+        d = DNumber(abc, {("a",): 0.5, ("b",): 0.5})
+        assert RULES["disjunctive"](d, d, NonExclusivityModel(abc), PRODUCT).k is None
 
 
 class TestCombineMany:

@@ -16,6 +16,7 @@ from dnumbers import (
     NonExclusivityModel,
     OverrideDegree,
     PairDegree,
+    RULES,
     ScenarioDocument,
     WeightEntry,
     conjunctive,
@@ -291,6 +292,18 @@ def test_dcr1_degenerates_to_dempster(s):
     for mask in set(oracle.focal_sets()) | set(report.result.focal_sets()) | set(brute):
         assert abs(report.result.weight(mask) - oracle.weight(mask)) < 1e-10
         assert abs(report.result.weight(mask) - brute.get(mask, 0.0)) < 1e-10
+
+
+@given(state(n_dnumbers=2))
+def test_classical_steps_report_the_global_conflict_exactly(s):
+    frame, d1, d2 = s
+    model = NonExclusivityModel.exclusive(frame)
+    for rule in ("conjunctive", "dempster", "yager", "dubois-prade"):
+        try:
+            report = RULES[rule](d1, d2, model, PRODUCT)
+        except TotalConflict:
+            continue
+        assert report.k == global_conflict(d1, d2)
 
 
 @given(state(n_dnumbers=3, complete=False))
