@@ -13,13 +13,12 @@ brute-force oracle, ``brute_dempster`` in the test helpers.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import fsum
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import FrameMismatch, IncompleteInput, TooManyFocalPairs, TotalConflict
-from .evidence import DNumber, Frame
+from .evidence import DNumber, Frame, Record
 
 #: Surviving mass at or below this fraction of Q1*Q2 counts as none: dividing
 #: by it would amplify representation error past any useful tolerance.
@@ -88,8 +87,7 @@ def _overlapping(b: int) -> Callable[[int], float]:
     return _one
 
 
-@dataclass(frozen=True)
-class ConjunctiveResult:
+class ConjunctiveResult(Record):
     """Unnormalized conjunctive masses, including the mass on the empty set.
 
     The empty-set entry is the global conflict K; the remaining entries are

@@ -14,8 +14,6 @@ is unusable.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import re
 import sys
 
@@ -32,7 +30,7 @@ from .fusion import (
     validate_f_points,
 )
 from .report import ReportDocument, fmt4, fmt_subset
-from .scenario import ScenarioDocument, parse_f_table, parse_scenario
+from .scenario import MAX_SCENARIO_BYTES, ScenarioDocument, parse_f_table, parse_scenario
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -53,6 +51,7 @@ def _diag(exc: Exception) -> str:
 
 def _emit(args, human: str, machine: dict) -> int:
     if args.output == "machine":
+        import json  # imported here, as human output never needs it
         sys.stdout.write(json.dumps(machine, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(human)
@@ -60,13 +59,15 @@ def _emit(args, human: str, machine: dict) -> int:
 
 
 def _read_scenario(args) -> bytes:
+    # One byte past the cap is enough for parse_scenario to reject a file.
     if args.scenario == "-":
-        return sys.stdin.buffer.read()
+        return sys.stdin.buffer.read(MAX_SCENARIO_BYTES + 1)
     with open(args.scenario, "rb") as fh:
-        return fh.read()
+        return fh.read(MAX_SCENARIO_BYTES + 1)
 
 
 def _digest(raw: bytes) -> str:
+    import hashlib  # imported here, as only machine output shows the digest
     return hashlib.sha256(raw).hexdigest()
 
 
@@ -112,6 +113,7 @@ def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
         "f_value": report.f_value,
         "strategy": strategy if dcr2 else None,
     }
+    machine = args.output == "machine"
     report_doc = ReportDocument(
         rule=args.rule,
         weights=tuple(
@@ -119,12 +121,9 @@ def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
             for mask, weight in report.result.masses.items()
         ),
         diagnostics=diag,
-        inputs={"scenario_sha256": _digest(raw), "dnumbers": names},
+        inputs={"dnumbers": names, **({"scenario_sha256": _digest(raw)} if machine else {})},
     )
-    if args.output == "machine":
-        sys.stdout.write(report_doc.to_machine())
-    else:
-        sys.stdout.write(report_doc.to_human())
+    sys.stdout.write(report_doc.to_machine() if machine else report_doc.to_human())
     return EXIT_OK
 
 
@@ -217,6 +216,7 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> int:
     values = matrix._values
     write = sys.stdout.write
     if args.output == "machine":
+        import json  # imported here, as human output never needs it
         # The bytes of json.dumps({"kind", "rows", "subsets"}, sort_keys=True,
         # indent=2) + "\n"; labels may need escapes, so json.dumps them.
         kind = "exclusive" if args.kind == "exclusive" else "nonexclusive"

@@ -117,3 +117,7 @@ class OutOfRangeValue(ScenarioError):
 
 class DuplicatePair(ScenarioError):
     """The same unordered pair was assigned a degree twice."""
+
+
+class ScenarioTooLarge(ScenarioError):
+    """A scenario is longer than the parser accepts."""

@@ -13,7 +13,6 @@ All types are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -161,8 +160,58 @@ class Frame:
         return f"Frame({list(self.labels)!r})"
 
 
-@dataclass(frozen=True)
-class BeliefSummary:
+class Record:
+    """Base of the immutable value classes; each behaves like a frozen dataclass
+    whose fields are its annotated names and whose defaults are class attributes.
+    ``_no_compare`` names fields left out of ``==`` (same class only) and hash,
+    ``_no_repr`` fields left out of ``repr``.  No attribute can be set or deleted."""
+
+    _fields = _no_compare = _no_repr = ()
+
+    def __init_subclass__(cls):
+        own = [name for name in cls.__annotations__ if name not in cls._fields]
+        cls._fields = cls.__match_args__ = (*cls._fields, *own)
+        cls._eq_fields = tuple(n for n in cls._fields if n not in cls._no_compare)
+        cls._repr_fields = tuple(n for n in cls._fields if n not in cls._no_repr)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if not kwargs and len(args) == len(names):  # the common case, kept fast
+            self.__dict__.update(zip(names, args))
+            return
+        cls = type(self)
+        if len(args) > len(names) or kwargs.keys() - names[len(args):]:
+            raise TypeError(f"{cls.__qualname__}() takes each of the fields {names} once")
+        state = self.__dict__
+        state.update(zip(names, args))
+        for name in names[len(args):]:
+            try:
+                state[name] = kwargs[name] if name in kwargs else getattr(cls, name)
+            except AttributeError:
+                raise TypeError(f"{cls.__qualname__}() is missing the field {name!r}") from None
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._eq_fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={self.__dict__[name]!r}" for name in self._repr_fields])
+        return f"{type(self).__qualname__}({body})"
+
+
+class BeliefSummary(Record):
     """Belief/plausibility bounds of one subset.
 
     ``from_incomplete`` marks values computed from an assignment whose total

@@ -13,7 +13,6 @@ rules collapse to Dempster's rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import fsum
 from operator import itemgetter
 from types import MappingProxyType
@@ -41,7 +40,7 @@ from .errors import (
     OutOfRangeValue,
     TotalConflict,
 )
-from .evidence import DNumber, Frame, SubsetLike, bit_indices
+from .evidence import DNumber, Frame, Record, SubsetLike, bit_indices
 
 #: Largest frame for which the full (2^N - 1)-squared degree matrix may be
 #: materialized; degree lookups themselves are lazy and uncapped.
@@ -259,8 +258,7 @@ class NonExclusivityModel:
         )
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
+class DegreeMatrix(Record):
     """A materialized symmetric degree matrix over the non-empty subsets.
 
     ``rows[k][l]`` is the degree of ``subsets[k]`` and ``subsets[l]``, both in
@@ -276,9 +274,10 @@ class DegreeMatrix:
     frame: Frame
     subsets: tuple[int, ...]
     rows: tuple[tuple[float, ...], ...]
-    _ranks: tuple[bytes, ...] = field(repr=False, compare=False)
-    _values: tuple[float, ...] = field(repr=False, compare=False)
-    _overrides: Mapping[int, Mapping[int, float]] = field(repr=False, compare=False)
+    _ranks: tuple[bytes, ...]
+    _values: tuple[float, ...]
+    _overrides: Mapping[int, Mapping[int, float]]
+    _no_compare = _no_repr = ("_ranks", "_values", "_overrides")
 
     @classmethod
     def _from_ranks(
@@ -350,8 +349,7 @@ def _rows_through(subsets, ranks, overrides, table, cell) -> Iterator[tuple]:
 # --- completeness aggregators --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompletenessAggregator:
+class CompletenessAggregator(Record):
     """A function f(Q1, Q2) fixing the total mass of a DCR2 result.
 
     Admissible aggregators satisfy 0 <= f(Q1, Q2) <= max(Q1, Q2) on the unit
@@ -360,7 +358,8 @@ class CompletenessAggregator:
     """
 
     name: str
-    fn: Callable[[float, float], float] = field(repr=False)
+    fn: Callable[[float, float], float]
+    _no_repr = ("fn",)
 
     def __call__(self, q1: float, q2: float) -> float:
         return self.fn(q1, q2)
@@ -439,8 +438,7 @@ def validate_f_points(points: Iterable[tuple[float, float, float]]) -> int:
 # --- combination ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FusionReport:
+class FusionReport(Record):
     """A combined D number plus the diagnostics of the rule that produced it.
 
     ``k_d`` is set on the DCR1 path; ``d_t_total`` (the unnormalized mass that

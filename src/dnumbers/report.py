@@ -7,9 +7,9 @@ exact computed weights.  Human output rounds to four decimals.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from math import fsum
+
+from .evidence import Record
 
 
 def fmt4(v: float) -> str:
@@ -20,8 +20,7 @@ def fmt_subset(labels: tuple[str, ...]) -> str:
     return "{%s}" % ", ".join(labels)
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(Record):
     """What one combination produced: rule, weights, diagnostics, input digests."""
 
     rule: str
@@ -30,6 +29,7 @@ class ReportDocument:
     inputs: dict
 
     def to_machine(self) -> str:
+        import json  # imported here, as human output never needs it
         payload = {
             "rule": self.rule,
             "weights": [

@@ -34,7 +34,6 @@ them sorted, which is also how :func:`format_scenario` prints them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -42,11 +41,16 @@ from .errors import (
     DuplicatePair,
     OutOfRangeValue,
     ScenarioSyntaxError,
+    ScenarioTooLarge,
     UnknownLabel,
 )
-from .evidence import DNumber, Frame
+from .evidence import DNumber, Frame, Record
 from .fusion import NonExclusivityModel
 from .report import fmt_subset
+
+#: The longest scenario accepted, 1 MiB; a ``str`` is measured in characters.
+#: It is checked before decoding.
+MAX_SCENARIO_BYTES = 1 << 20
 
 _LABEL = r"[^\s{},:~#]+"
 _FRAME_LINE = re.compile(r"^\s*frame\s*:\s*(?P<body>.*?)\s*$")
@@ -63,32 +67,27 @@ _OVERRIDE_ENTRY = re.compile(
 _NUMBER = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
-@dataclass(frozen=True)
-class WeightEntry:
+class WeightEntry(Record):
     subset: tuple[str, ...]
     weight: float
 
 
-@dataclass(frozen=True)
-class NamedAssignment:
+class NamedAssignment(Record):
     name: str
     entries: tuple[WeightEntry, ...]
 
 
-@dataclass(frozen=True)
-class PairDegree:
+class PairDegree(Record):
     elements: tuple[str, str]
     degree: float
 
 
-@dataclass(frozen=True)
-class OverrideDegree:
+class OverrideDegree(Record):
     subsets: tuple[tuple[str, ...], tuple[str, ...]]
     degree: float
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Domain objects built from a document; ``dnumbers`` is a read-only view."""
 
     frame: Frame
@@ -96,8 +95,7 @@ class Scenario:
     model: NonExclusivityModel
 
 
-@dataclass(frozen=True)
-class ScenarioDocument:
+class ScenarioDocument(Record):
     """The parsed, validated content of a scenario file.
 
     Documents produced by :func:`parse_scenario` are canonical: subsets and
@@ -312,11 +310,14 @@ def _decode(data: bytes | str, what: str) -> str:
 def parse_scenario(data: bytes | str) -> ScenarioDocument:
     """Parse and validate a scenario document.
 
-    Raises ScenarioSyntaxError, UnknownLabel, OutOfRangeValue or DuplicatePair,
-    each carrying the offending line (and column where known).  Domain-level
+    Raises ScenarioTooLarge above ``MAX_SCENARIO_BYTES``, else
+    ScenarioSyntaxError, UnknownLabel, OutOfRangeValue or DuplicatePair, each
+    carrying the offending line (and column where known).  Domain-level
     problems (mass overflow, intersecting overrides, ...) are only raised later,
     by :meth:`ScenarioDocument.build`.
     """
+    if len(data) > MAX_SCENARIO_BYTES:
+        raise ScenarioTooLarge(f"scenario is longer than {MAX_SCENARIO_BYTES} bytes")
     return _Parser(_decode(data, "scenario")).run()
 
 

@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from dnumbers import AGGREGATORS, classical, fusion, parse_scenario
 from dnumbers.cli import build_parser, run_cli
 from dnumbers.fusion import RULES, STRATEGIES
+from dnumbers.scenario import MAX_SCENARIO_BYTES
 from conftest import FIXTURES, REPO, SCENARIOS
 from helpers import render_matrix
 
@@ -402,6 +406,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error[{kind}]:")
 
+    def test_scenario_over_the_byte_cap_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "large.scn"
+        head = (SCENARIOS / "abc_fusion.scn").read_bytes() + b"#"
+        path.write_bytes(head + b"x" * (MAX_SCENARIO_BYTES + 1 - len(head)))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1 and err.startswith("error[scenario-too-large]:")
+        path.write_bytes(head + b"x" * (MAX_SCENARIO_BYTES - len(head)))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0 and out.startswith("scenario: OK")
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "validate", "no-such-file.scn")
         assert code == 1
@@ -410,6 +424,57 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "combine" in out
+
+
+class TestStartup:
+    """What importing the CLI and printing a human report load, in a fresh
+    interpreter; the interpreter's own start-up may load standard modules
+    already, so only what the package adds is counted."""
+
+    SCRIPT = """
+import io, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+import dnumbers.cli
+imported = set(sys.modules) - before
+with redirect_stdout(io.StringIO()):
+    code = dnumbers.cli.run_cli(["combine", "--rule", "dcr2", sys.argv[1]])
+ran = set(sys.modules) - before - imported
+print(code)
+print(" ".join(sorted(imported)))
+print(" ".join(sorted(ran)))
+"""
+
+    def test_import_and_human_combine_load_no_json_or_hashlib(self):
+        src = str(REPO / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, FUSION],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        code, imported, ran = proc.stdout.splitlines()
+        assert code == "0"
+        assert "dnumbers.cli" in imported.split()
+        assert not {"dataclasses", "inspect", "hashlib", "json"} & set(imported.split())
+        assert not {"hashlib", "json"} & set(ran.split())
+
+    def test_machine_output_still_carries_the_scenario_digest(self, capsys):
+        code, out, _ = run(capsys, "combine", "--rule", "dcr2", "--output", "machine", FUSION)
+        assert code == 0
+        digest = hashlib.sha256((SCENARIOS / "abc_fusion.scn").read_bytes()).hexdigest()
+        assert json.loads(out)["inputs"]["scenario_sha256"] == digest
+
+    def test_human_output_does_not_compute_the_digest(self, capsys, monkeypatch):
+        from dnumbers import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_digest", lambda raw: calls.append(raw) or "")
+        code, _, _ = run(capsys, "combine", "--rule", "dcr2", FUSION)
+        assert code == 0 and calls == []
 
 
 class TestStdin:

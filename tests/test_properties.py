@@ -1,7 +1,10 @@
 """Property tests for the algebraic invariants of the rules and the file format."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from math import fsum
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dnumbers import (
@@ -32,7 +35,8 @@ from dnumbers import (
     residual_conflict,
     yager,
 )
-from dnumbers.errors import TotalConflict
+from dnumbers.cli import run_cli
+from dnumbers.errors import ScenarioError, TotalConflict
 from helpers import brute_dempster
 
 LABELS = ("a", "b", "c", "d")
@@ -364,3 +368,73 @@ def documents(draw):
 @given(documents())
 def test_scenario_round_trip(doc):
     assert parse_scenario(format_scenario(doc)) == doc
+
+
+# --- arbitrary scenario bytes -------------------------------------------------------
+
+#: Lines of the scenario grammar, well-formed or nearly so.  Generated files
+#: start with a frame line and mix these with random text, so that most of
+#: them get past the first line; printed documents reach the commands.
+SCENARIO_LINES = (
+    "dnumber D1:",
+    "dnumber D2:",
+    "nonexclusivity:",
+    "overrides:",
+    "{a}: 0.5",
+    "  {a, b}: 0.7",
+    "{b}: 1e-3",
+    "{c}: 1",
+    "{}: 0.1",
+    "{c}: 2",
+    "{z}: 0.1",
+    "a ~ b: 0.2",
+    "b ~ c: 1",
+    "a ~ a: 0.5",
+    "{a} ~ {b, c}: 0.5",
+    "{a} ~ {a}: 0.1",
+    "# comment",
+    "",
+)
+
+scenario_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.builds(
+        lambda frame, lines: "\n".join([frame, *lines]).encode("utf-8", "surrogatepass"),
+        st.sampled_from(("frame: a, b, c", "frame: a", "frame: a, a", "frame:", "dnumber D1:")),
+        st.lists(st.sampled_from(SCENARIO_LINES) | st.text(max_size=12), max_size=8),
+    ),
+    documents().map(lambda doc: format_scenario(doc).encode()),
+)
+
+CLI_COMMANDS = (
+    ("validate",),
+    ("qvalue",),
+    ("bel",),
+    ("conflict",),
+    ("combine", "--rule", "dcr2"),
+    ("combine", "--rule", "dempster", "--output", "machine"),
+    ("matrix", "expand"),
+)
+
+
+@given(scenario_bytes)
+@settings(max_examples=100)
+def test_parse_scenario_raises_only_scenario_errors(data):
+    try:
+        parse_scenario(data)
+    except ScenarioError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.scn"
+
+
+@given(data=scenario_bytes, command=st.sampled_from(CLI_COMMANDS))
+@settings(max_examples=60, deadline=None)
+def test_cli_on_any_scenario_file_exits_0_1_or_2(scenario_file, data, command):
+    scenario_file.write_bytes(data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = run_cli([*command, str(scenario_file)])
+    assert code in (0, 1, 2)

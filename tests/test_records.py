@@ -218,6 +218,7 @@ def test_hash(case):
 def test_construction_by_position_keyword_and_default(case):
     x = case.make()
     assert case.cls(**case.kwargs()) == x
+    assert case.cls.__match_args__ == case.fields
     for name, value in zip(case.fields, case.values):
         assert getattr(x, name) is value
     required = [n for n in case.fields if n not in case.defaults]

@@ -18,8 +18,10 @@ from dnumbers.errors import (
     MassOverflow,
     OutOfRangeValue,
     ScenarioSyntaxError,
+    ScenarioTooLarge,
     UnknownLabel,
 )
+from dnumbers.scenario import MAX_SCENARIO_BYTES
 from conftest import FIXTURES, SCENARIOS
 
 BAD = FIXTURES / "bad"
@@ -127,6 +129,32 @@ class TestParseErrors:
         doc = parse_scenario(read(BAD / name))  # parses fine
         with pytest.raises(error):
             doc.build()
+
+
+def padded(size: int) -> bytes:
+    """A valid scenario of exactly ``size`` bytes: a frame line, then a comment."""
+    head = b"frame: a\ndnumber D:\n  {a}: 1\n#"
+    return head + b"x" * (size - len(head) - 1) + b"\n"
+
+
+class TestSizeCap:
+    def test_one_byte_under_the_cap_and_at_it_parse(self):
+        for size in (MAX_SCENARIO_BYTES - 1, MAX_SCENARIO_BYTES):
+            data = padded(size)
+            assert len(data) == size
+            assert parse_scenario(data).frame == ("a",)
+
+    def test_one_byte_over_the_cap_is_rejected_before_decoding(self):
+        data = padded(MAX_SCENARIO_BYTES + 1)
+        with pytest.raises(ScenarioTooLarge, match="longer than"):
+            parse_scenario(data)
+        # Invalid UTF-8 would fail decoding; the size check comes first.
+        with pytest.raises(ScenarioTooLarge):
+            parse_scenario(b"\xff" * (MAX_SCENARIO_BYTES + 1))
+
+    def test_text_is_capped_by_its_length(self):
+        with pytest.raises(ScenarioTooLarge):
+            parse_scenario(padded(MAX_SCENARIO_BYTES + 1).decode())
 
 
 class TestRoundTrip:
