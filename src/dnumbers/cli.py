@@ -114,6 +114,9 @@ def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
         "strategy": strategy if dcr2 else None,
     }
     machine = args.output == "machine"
+    inputs = {"dnumbers": names}
+    if machine:
+        inputs["scenario_sha256"] = _digest(raw)
     report_doc = ReportDocument(
         rule=args.rule,
         weights=tuple(
@@ -121,7 +124,7 @@ def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
             for mask, weight in report.result.masses.items()
         ),
         diagnostics=diag,
-        inputs={"dnumbers": names, **({"scenario_sha256": _digest(raw)} if machine else {})},
+        inputs=inputs,
     )
     sys.stdout.write(report_doc.to_machine() if machine else report_doc.to_human())
     return EXIT_OK

@@ -161,10 +161,9 @@ class Frame:
 
 
 class Record:
-    """Base of the immutable value classes; each behaves like a frozen dataclass
-    whose fields are its annotated names and whose defaults are class attributes.
-    ``_no_compare`` names fields left out of ``==`` (same class only) and hash,
-    ``_no_repr`` fields left out of ``repr``.  No attribute can be set or deleted."""
+    """Base of the immutable value classes: a frozen record of its annotated fields,
+    with defaults from class attributes.  ``==`` (same class only) and hash skip
+    the fields named in ``_no_compare``, ``repr`` those in ``_no_repr``."""
 
     _fields = _no_compare = _no_repr = ()
 
@@ -175,14 +174,9 @@ class Record:
         cls._repr_fields = tuple(n for n in cls._fields if n not in cls._no_repr)
 
     def __init__(self, *args, **kwargs):
-        names = self._fields
-        if not kwargs and len(args) == len(names):  # the common case, kept fast
-            self.__dict__.update(zip(names, args))
-            return
-        cls = type(self)
+        cls, names, state = type(self), self._fields, self.__dict__
         if len(args) > len(names) or kwargs.keys() - names[len(args):]:
             raise TypeError(f"{cls.__qualname__}() takes each of the fields {names} once")
-        state = self.__dict__
         state.update(zip(names, args))
         for name in names[len(args):]:
             try:
@@ -199,9 +193,7 @@ class Record:
         return tuple([self.__dict__[name] for name in self._eq_fields])
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key())

@@ -48,8 +48,7 @@ from .evidence import DNumber, Frame, Record
 from .fusion import NonExclusivityModel
 from .report import fmt_subset
 
-#: The longest scenario accepted, 1 MiB; a ``str`` is measured in characters.
-#: It is checked before decoding.
+#: The longest scenario accepted (1 MiB; a ``str`` counts characters), checked before decoding.
 MAX_SCENARIO_BYTES = 1 << 20
 
 _LABEL = r"[^\s{},:~#]+"
