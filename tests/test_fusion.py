@@ -40,6 +40,8 @@ from dnumbers.errors import (
     IncompleteInput,
     IntersectingPair,
     InvalidAggregator,
+    MassOverflow,
+    NegativeWeight,
     OutOfRangeValue,
     TooManyFocalPairs,
     TotalConflict,
@@ -409,6 +411,39 @@ class TestDcr2:
         other = Frame(["x", "y"])
         with pytest.raises(FrameMismatch):
             dcr2(DNumber.vacuous(other), DNumber.vacuous(other), overlap_model)
+
+    # An aggregator built directly skips from_callable's checks, so a faulty f
+    # reaches the result's weights; the result's own checks must then raise
+    # the constructor's errors, word for word.  The normalized cells of the
+    # partial sources are 0.8602..., 0.1290... and 0.0107...
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (float("nan"), NegativeWeight, "weight nan is not a number in [0, 1]"),
+            (-0.5, NegativeWeight, "weight -0.43010752688172044 is not a number in [0, 1]"),
+            (2.0, MassOverflow, "single weight 1.7204301075268817 exceeds 1"),
+            (float("inf"), MassOverflow, "single weight inf exceeds 1"),
+            (1.1, MassOverflow, "total mass 1.1 exceeds 1"),
+        ],
+        ids=["nan", "negative", "two", "inf", "total"],
+    )
+    def test_faulty_aggregator_values_raise_the_constructor_errors(
+        self, overlap_model, partial_sources, value, error, message
+    ):
+        faulty = CompletenessAggregator("faulty", lambda q1, q2: value)
+        with pytest.raises(error) as info:
+            dcr2(*partial_sources, overlap_model, faulty)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_zero_aggregator_values_give_the_empty_result(
+        self, abc, overlap_model, partial_sources, value
+    ):
+        report = dcr2(*partial_sources, overlap_model, CompletenessAggregator("zero", lambda q1, q2: value))
+        assert report.result == DNumber(abc)
+        assert list(report.result.items()) == []
+        assert report.result.q_value == 0.0
 
 
 class TestResidualConflict:
