@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import FrameMismatch, IncompleteInput, TooManyFocalPairs, TotalConflict
-from .evidence import DNumber, Frame, Record
+from .evidence import DNumber, Frame, Record, _canonical
 
 #: Surviving mass at or below this fraction of Q1*Q2 counts as none: dividing
 #: by it would amplify representation error past any useful tolerance.
@@ -123,8 +123,7 @@ def conjunctive(m1: DNumber, m2: DNumber) -> ConjunctiveResult:
     _require_combinable(m1, m2)
     masses, k = _products(m1, m2, _exclusive)
     masses[0] = k
-    ordered = sorted(masses, key=m1.frame.sort_key)
-    return ConjunctiveResult(m1.frame, MappingProxyType({a: masses[a] for a in ordered}))
+    return ConjunctiveResult(m1.frame, MappingProxyType({a: masses[a] for a in _canonical(masses)}))
 
 
 def disjunctive(m1: DNumber, m2: DNumber) -> DNumber:
@@ -135,7 +134,7 @@ def disjunctive(m1: DNumber, m2: DNumber) -> DNumber:
     for b, w1 in m1.items():
         for c, w2 in m2.items():
             cells[b | c].append(w1 * w2)
-    return DNumber(m1.frame, {a: fsum(v) for a, v in cells.items()})
+    return DNumber._from_masks(m1.frame, {a: fsum(v) for a, v in cells.items()})
 
 
 def dempster(m1: DNumber, m2: DNumber) -> DNumber:
@@ -153,7 +152,7 @@ def _dempster(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
     if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"global conflict K = {k!r}; combination is undefined")
     denom = 1.0 - k
-    return DNumber(m1.frame, {a: v / denom for a, v in masses.items()}), k
+    return DNumber._from_masks(m1.frame, {a: v / denom for a, v in masses.items()}), k
 
 
 def yager(m1: DNumber, m2: DNumber) -> DNumber:
@@ -167,13 +166,13 @@ def _yager(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
     masses, k = _products(m1, m2, _exclusive)
     full = m1.frame.full_mask
     masses[full] = masses.get(full, 0.0) + k
-    return DNumber(m1.frame, masses), k
+    return DNumber._from_masks(m1.frame, masses), k
 
 
 def dubois_prade(m1: DNumber, m2: DNumber) -> DNumber:
     """Dubois-Prade rule: each conflicting product moves to the pair's union."""
     _require_combinable(m1, m2)
-    return DNumber(m1.frame, _products(m1, m2, _overlapping)[0])
+    return DNumber._from_masks(m1.frame, _products(m1, m2, _overlapping)[0])
 
 
 def global_conflict(d1: DNumber, d2: DNumber) -> float:

@@ -8,12 +8,13 @@ Exit codes: 0 success; 1 the scenario or table file is malformed (syntax,
 unknown labels, out-of-range values, duplicate pairs); 2 the file is
 well-formed but the mathematics rejects it (mass overflow, incomplete inputs
 where completeness is required, total conflict, ...) or the invocation itself
-is unusable.
+is unusable; 141 (128 + SIGPIPE) the reader closed standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -35,6 +36,7 @@ from .scenario import MAX_SCENARIO_BYTES, ScenarioDocument, parse_f_table, parse
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DOMAIN = 2
+EXIT_BROKEN_PIPE = 141
 
 class _Abort(Exception):
     """Unusable invocation against a well-formed scenario."""
@@ -60,7 +62,7 @@ def _emit(args, human: str, machine: dict) -> int:
 
 def _read_scenario(args) -> bytes:
     # One byte past the cap is enough for parse_scenario to reject a file.
-    if args.scenario == "-":
+    if args.scenario in (None, "-"):
         return sys.stdin.buffer.read(MAX_SCENARIO_BYTES + 1)
     with open(args.scenario, "rb") as fh:
         return fh.read(MAX_SCENARIO_BYTES + 1)
@@ -298,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "scenario",
             nargs="?",
-            default="-",
             help="scenario file path, or - for standard input (default)",
         )
         p.add_argument(
@@ -368,7 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # Older argparse (3.13.0 and before) skips the optional scenario once it has
+        # read `matrix KIND`, so a file named after `--output` is left over.
+        if args.scenario is None and len(extra) == 1 and (extra[0] == "-" or extra[0][:1] != "-"):
+            args.scenario = extra.pop()
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -385,4 +392,10 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: end quietly, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -13,6 +13,8 @@ All types are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from math import fsum
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -48,6 +50,11 @@ _REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
 #: The low ``MAX_FRAME_SIZE`` bits of a canonical sort key, all set.
 _KEY_LOW = (1 << MAX_FRAME_SIZE) - 1
 
+#: ``255 - reversed(b)`` for each byte b, its own inverse; and the offsets of the
+#: bytes of weight 2^0, 2^8, 2^16 and 2^24 in an ``array("I")`` item.
+_FLIPPED_BYTE = bytes(255 - b for b in _REVERSED_BYTE)
+_BYTE_AT = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
+
 
 def bit_indices(mask: int) -> tuple[int, ...]:
     """Positions of the set bits of ``mask``, ascending."""
@@ -57,6 +64,23 @@ def bit_indices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _shuffle(items: array, top: bytes) -> array:
+    """Masks to ``Frame.sort_key`` keys and back: bytes 0-2 of each item swap ends
+    through ``_FLIPPED_BYTE``, and byte 3 is taken from ``top``."""
+    data, out = items.tobytes().translate(_FLIPPED_BYTE), bytearray(4 * len(items))
+    b0, b1, b2, b3 = _BYTE_AT
+    out[b0::4], out[b1::4], out[b2::4], out[b3::4] = data[b2::4], data[b1::4], data[b0::4], top
+    return array("I", out)
+
+
+def _canonical(masks: Iterable[int]) -> list[int]:
+    """``sorted(masks, key=Frame.sort_key)`` without a Python call per mask: the
+    keys, below 2^30 so that CPython compares them fast, sort as plain ints."""
+    masks = array("I", masks)
+    keys = array("I", sorted(_shuffle(masks, bytes(map(int.bit_count, masks)))))
+    return _shuffle(keys, bytes(len(keys))).tolist()
 
 
 class Frame:
@@ -148,7 +172,7 @@ class Frame:
 
     def subsets(self) -> Iterator[int]:
         """All non-empty subsets in canonical order."""
-        return iter(sorted(range(1, self.full_mask + 1), key=self.sort_key))
+        return iter(_canonical(range(1, self.full_mask + 1)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Frame) and self.labels == other.labels
@@ -246,11 +270,27 @@ class DNumber:
                 raise MassOverflow(f"single weight {w!r} exceeds 1")
             if w > 0.0:
                 acc[mask] = acc.get(mask, 0.0) + w
+        self._fill(frame, acc)
+
+    def _fill(self, frame: Frame, acc: Mapping[int, float]) -> None:
+        order = _canonical(acc)
         self.frame = frame
-        self._masses = {m: acc[m] for m in sorted(acc, key=frame.sort_key)}
+        self._masses = dict(zip(order, map(acc.__getitem__, order)))
         self._q = fsum(self._masses.values())
         if self._q > 1.0 + EPSILON:
             raise MassOverflow(f"total mass {self._q!r} exceeds 1")
+
+    @classmethod
+    def _from_masks(cls, frame: Frame, masses: Mapping[int, float]) -> "DNumber":
+        """A rule's int-keyed masses, checked in bulk; masks outside (0, full_mask]
+        or weights not floats in (0, 1 + EPSILON] go through the constructor."""
+        weights = masses.values()
+        positive = masses and set(map(type, weights)) == {float} and all(map((0.0).__lt__, weights))
+        if positive and max(weights) <= 1.0 + EPSILON and 0 < min(masses) and max(masses) <= frame.full_mask:
+            self = cls.__new__(cls)  # NaN and -0.0 are not positive
+            self._fill(frame, masses)
+            return self
+        return cls(frame, masses)
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "DNumber":

@@ -493,7 +493,7 @@ def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
     retained = fsum(masses.values())
     if k_d >= 1.0 - TOTAL_CONFLICT_TOLERANCE or retained <= TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"discounted conflict K_D = {k_d!r}; combination is undefined")
-    result = DNumber(d1.frame, {a: v / retained for a, v in masses.items()})
+    result = DNumber._from_masks(d1.frame, {a: v / retained for a, v in masses.items()})
     return FusionReport(
         result=result, rule="dcr1", q1=d1.q_value, q2=d2.q_value, k_d=k_d
     )
@@ -515,13 +515,14 @@ def dcr2(
     masses, _ = _products(d1, d2, model._degrees_from)
     total = fsum(masses.values())
     q1, q2 = d1.q_value, d2.q_value
-    # Relative to Q1*Q2, the mass the products started with.
-    if total <= TOTAL_CONFLICT_TOLERANCE * q1 * q2:
+    # Relative to Q1*Q2, the mass the products started with; multiplied first,
+    # so that swapping the operands cannot move the bound by a rounding.
+    if total <= TOTAL_CONFLICT_TOLERANCE * (q1 * q2):
         raise TotalConflict(
             f"no mass survives the combination (sum of D_t = {total!r})"
         )
     f_value = f(q1, q2)
-    result = DNumber(
+    result = DNumber._from_masks(
         d1.frame, {a: f_value * (v / total) for a, v in masses.items()}
     )
     return FusionReport(
@@ -541,13 +542,8 @@ def mean_assignment(ds: Sequence[DNumber]) -> DNumber:
     frame = ds[0].frame
     if any(d.frame != frame for d in ds):
         raise FrameMismatch("D numbers must share one frame")
-    focal: set[int] = set()
-    for d in ds:
-        focal.update(d.focal_sets())
-    n = len(ds)
-    return DNumber(
-        frame, {m: fsum(d.weight(m) for d in ds) / n for m in focal}
-    )
+    focal = set().union(*[d.focal_sets() for d in ds])
+    return DNumber._from_masks(frame, {m: fsum(d.weight(m) for d in ds) / len(ds) for m in focal})
 
 
 def _classical_step(name: str, rule: Callable[..., tuple]) -> Callable[..., FusionReport]:

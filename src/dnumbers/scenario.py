@@ -143,9 +143,8 @@ class _Parser:
         self.overrides: list[OverrideDegree] = []
         self.pair_keys: set[tuple[str, str]] = set()
         self.override_keys: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-        self.section: object = None  # None | list[WeightEntry] | "pairs" | "overrides"
-        self.seen_pairs_section = False
-        self.seen_overrides_section = False
+        self.section: object = None  # None | list[WeightEntry] | "nonexclusivity" | "overrides"
+        self.seen_sections: set[str] = set()
 
     def run(self) -> ScenarioDocument:
         for line_no, raw in enumerate(self.lines, start=1):
@@ -196,23 +195,18 @@ class _Parser:
             self.dnumbers.append((name, entries))
             self.section = entries
             return
-        if _PAIRS_HEADER.match(raw):
-            if self.seen_pairs_section:
-                self.fail("the nonexclusivity section is already declared")
-            self.seen_pairs_section = True
-            self.section = "pairs"
-            return
-        if _OVERRIDES_HEADER.match(raw):
-            if self.seen_overrides_section:
-                self.fail("the overrides section is already declared")
-            self.seen_overrides_section = True
-            self.section = "overrides"
-            return
+        for header, section in ((_PAIRS_HEADER, "nonexclusivity"), (_OVERRIDES_HEADER, "overrides")):
+            if header.match(raw):
+                if section in self.seen_sections:
+                    self.fail(f"the {section} section is already declared")
+                self.seen_sections.add(section)
+                self.section = section
+                return
         if self.section is None:
             self.fail("expected a section header ('dnumber <name>:', 'nonexclusivity:' or 'overrides:')")
         elif isinstance(self.section, list):
             self.subset_entry(raw, self.section)
-        elif self.section == "pairs":
+        elif self.section == "nonexclusivity":
             self.pair_entry(raw)
         else:
             self.override_entry(raw)
@@ -361,20 +355,17 @@ def format_scenario(doc: ScenarioDocument) -> str:
     """Print a document in canonical form; parsing it back reproduces ``doc``."""
     out = ["frame: " + ", ".join(doc.frame)]
     for named in doc.dnumbers:
-        out.append("")
-        out.append(f"dnumber {named.name}:")
+        out += ["", f"dnumber {named.name}:"]
         for entry in named.entries:
             out.append(f"  {fmt_subset(entry.subset)}: {_fmt_number(entry.weight)}")
     if doc.pairs:
-        out.append("")
-        out.append("nonexclusivity:")
+        out += ["", "nonexclusivity:"]
         for pair in doc.pairs:
             out.append(
                 f"  {pair.elements[0]} ~ {pair.elements[1]}: {_fmt_number(pair.degree)}"
             )
     if doc.overrides:
-        out.append("")
-        out.append("overrides:")
+        out += ["", "overrides:"]
         for override in doc.overrides:
             out.append(
                 f"  {fmt_subset(override.subsets[0])} ~ {fmt_subset(override.subsets[1])}: "

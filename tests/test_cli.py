@@ -269,6 +269,31 @@ class TestMatrix:
         assert code == 0
         assert out == (GOLDEN / "abc_overlaps_matrix.json").read_text()
 
+    @pytest.mark.parametrize("kind", ["expand", "exclusive"])
+    def test_output_flag_may_stand_anywhere(self, capsys, kind):
+        outputs = {
+            run(capsys, *argv)
+            for argv in (
+                ("matrix", kind, "--output", "machine", OVERLAPS),
+                ("matrix", kind, OVERLAPS, "--output", "machine"),
+                ("matrix", "--output", "machine", kind, OVERLAPS),
+            )
+        }
+        assert len(outputs) == 1
+        code, out, err = outputs.pop()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["kind"] == ("nonexclusive" if kind == "expand" else kind)
+
+    def test_a_second_file_is_still_a_usage_error(self, capsys):
+        for argv in (
+            ("matrix", "expand", "--output", "machine", OVERLAPS, OVERLAPS),
+            ("matrix", "expand", "-", "--output", "machine", OVERLAPS),
+            ("matrix", "expand", "--output", "machine", "--bogus"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments" in err
+
     def test_exclusive_is_complement(self, capsys):
         _, expand_out, _ = run(capsys, "matrix", "expand", OVERLAPS, "--output", "machine")
         _, excl_out, _ = run(capsys, "matrix", "exclusive", OVERLAPS, "--output", "machine")
@@ -475,6 +500,28 @@ print(" ".join(sorted(ran)))
         monkeypatch.setattr(cli, "_digest", lambda raw: calls.append(raw) or "")
         code, _, _ = run(capsys, "combine", "--rule", "dcr2", FUSION)
         assert code == 0 and calls == []
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_ends_quietly_with_141(self, tmp_path):
+        rng = random.Random(8)
+        labels = [f"e{i}" for i in range(8)]
+        pairs = [f"  {a} ~ {b}: {rng.random()!r}" for i, a in enumerate(labels) for b in labels[i + 1:]]
+        path = tmp_path / "eight.scn"
+        path.write_text("frame: " + ", ".join(labels) + "\nnonexclusivity:\n" + "\n".join(pairs) + "\n")
+        src = str(REPO / "src")
+        argv = [sys.executable, "-m", "dnumbers", "matrix", "expand", "--output", "machine", str(path)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        full = subprocess.run(argv, env=env, capture_output=True, timeout=60, check=True).stdout
+        assert len(full) > 2**19  # 8 times a 64 KiB pipe buffer
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(1024)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert head == full[:1024]
+        assert err == b""
+        assert code == 141
 
 
 class TestStdin:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dnumbers import BeliefSummary, DNumber, Frame
-from dnumbers.evidence import MAX_FRAME_SIZE, bit_indices
+from dnumbers.evidence import MAX_FRAME_SIZE, _canonical, bit_indices
 from dnumbers.errors import (
     DuplicateLabel,
     EmptyFrame,
@@ -89,7 +89,9 @@ class TestFrame:
     def test_sort_key_order_is_canonical_on_every_mask(self, size):
         frame = frame_of(size)
         masks = range(frame.full_mask + 1)
-        assert sorted(masks, key=frame.sort_key) == sorted(masks, key=canonical)
+        expected = sorted(masks, key=canonical)
+        assert sorted(masks, key=frame.sort_key) == expected
+        assert _canonical(masks) == expected
 
     def test_sort_key_order_is_canonical_on_sampled_masks_at_the_cap(self):
         frame = frame_of(MAX_FRAME_SIZE)
@@ -98,7 +100,10 @@ class TestFrame:
             sum(1 << i for i in rng.sample(range(MAX_FRAME_SIZE), rng.randint(0, MAX_FRAME_SIZE)))
             for _ in range(20000)
         ]
-        assert sorted(masks, key=frame.sort_key) == sorted(masks, key=canonical)
+        assert len(set(masks)) < len(masks)
+        expected = sorted(masks, key=canonical)
+        assert sorted(masks, key=frame.sort_key) == expected
+        assert _canonical(masks) == expected
 
     def test_subsets_come_in_canonical_order(self):
         frame = frame_of(10)
@@ -192,6 +197,19 @@ class TestDNumber:
         d = DNumber(abc, {("a",): 1.0})
         with pytest.raises(TypeError):
             d.masses[1] = 0.5
+
+    def test_rule_masses_with_float_subclass_weights_become_floats(self, abc):
+        class Weight(float):
+            pass
+
+        d = DNumber._from_masks(abc, {0b011: Weight(0.25), 0b001: 0.5})
+        assert d == DNumber(abc, {0b001: 0.5, 0b011: 0.25})
+        assert list(d.items()) == [(0b001, 0.5), (0b011, 0.25)]
+        assert {type(w) for _, w in d.items()} == {float}
+
+    def test_empty_rule_masses_give_the_empty_assignment(self, abc):
+        assert DNumber._from_masks(abc, {}) == DNumber(abc)
+        assert DNumber._from_masks(abc, {0b001: 0.0, 0b010: -0.0}) == DNumber(abc)
 
 
 class TestBeliefPlausibility:

@@ -400,6 +400,23 @@ class TestDcr2:
         with pytest.raises(TotalConflict):
             dcr2(d, DNumber(abc, {("b",): 1e-7}), model, PRODUCT)
 
+    def test_total_conflict_bound_does_not_depend_on_operand_order(self):
+        # D_t lies exactly on 1e-12 * Q1 * Q2 here, and (1e-12 * Q1) * Q2 and
+        # (1e-12 * Q2) * Q1 round apart, so a bound built in operand order
+        # accepted one order and rejected the other.
+        frame = Frame(["a", "b", "c", "d"])
+        d1 = DNumber(frame, {("d",): 0.20935256544282455})
+        d2 = DNumber(frame, {("a",): 0.375})
+        degree = 7.850721204105921e-14 / (0.20935256544282455 * 0.375)
+        model = NonExclusivityModel(frame, {("a", "d"): degree})
+        outcomes = []
+        for left, right in ((d1, d2), (d2, d1)):
+            try:
+                outcomes.append(dict(dcr2(left, right, model, PRODUCT).result.items()))
+            except TotalConflict as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_result_sums_to_f(self, overlap_model, partial_sources):
         d1, d2 = partial_sources
         for agg in (PRODUCT, MINIMUM, MAXIMUM, AVERAGE, CONSTANT_ONE):

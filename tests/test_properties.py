@@ -36,7 +36,8 @@ from dnumbers import (
     yager,
 )
 from dnumbers.cli import run_cli
-from dnumbers.errors import ScenarioError, TotalConflict
+from dnumbers.errors import FusionError, ScenarioError, TotalConflict
+from dnumbers.evidence import MAX_FRAME_SIZE
 from helpers import brute_dempster
 
 LABELS = ("a", "b", "c", "d")
@@ -317,6 +318,61 @@ def test_mean_assignment_q_is_mean_of_qs(s):
     assert abs(mean.q_value - fsum(d.q_value for d in ds) / len(ds)) < 1e-12
 
 
+# --- rule results built in bulk ----------------------------------------------------
+
+
+class _Weight(float):
+    """A float subclass, such as a numpy scalar an aggregator may return."""
+
+
+#: One fault each: a mask the constructor rejects, or a weight it drops,
+#: rejects, or converts (a float subclass).
+MASS_FAULTS = {
+    "empty-set": lambda m, w, full: (0, w),
+    "foreign": lambda m, w, full: (full + 1, w),
+    "negative-mask": lambda m, w, full: (-m, w),
+    "nan": lambda m, w, full: (m, float("nan")),
+    "negative": lambda m, w, full: (m, -w),
+    "zero": lambda m, w, full: (m, 0.0),
+    "negative-zero": lambda m, w, full: (m, -0.0),
+    "above-one": lambda m, w, full: (m, 1.0 + 1e-6),
+    "inf": lambda m, w, full: (m, float("inf")),
+    "total-above-one": lambda m, w, full: (m, 1.0),
+    "float-subclass": lambda m, w, full: (m, _Weight(w)),
+}
+
+
+@st.composite
+def rule_masses(draw):
+    """A frame and an int-keyed float mapping with at most one fault."""
+    frame = Frame([f"e{i}" for i in range(draw(st.integers(1, MAX_FRAME_SIZE)))])
+    masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=12, unique=True))
+    weights = [
+        w / len(masks)
+        for w in draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=len(masks), max_size=len(masks)))
+    ]
+    fault = draw(st.sampled_from([None, *MASS_FAULTS]))
+    if fault is not None:
+        i = draw(st.integers(0, len(masks) - 1))
+        masks[i], weights[i] = MASS_FAULTS[fault](masks[i], weights[i], frame.full_mask)
+    return frame, dict(zip(masks, weights))
+
+
+def _outcome(build):
+    try:
+        d = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d, list(d.items()), [type(w) for _, w in d.items()], d.q_value
+
+
+@given(rule_masses())
+@settings(max_examples=300)
+def test_bulk_rule_results_match_the_constructor(case):
+    frame, masses = case
+    assert _outcome(lambda: DNumber._from_masks(frame, masses)) == _outcome(lambda: DNumber(frame, masses))
+
+
 # --- scenario documents -----------------------------------------------------------
 
 
@@ -368,6 +424,33 @@ def documents(draw):
 @given(documents())
 def test_scenario_round_trip(doc):
     assert parse_scenario(format_scenario(doc)) == doc
+
+
+@st.composite
+def loose_documents(draw):
+    """Documents the parser would never print: duplicate or unknown labels,
+    empty subsets, and weights and degrees of any float, NaN and inf included."""
+    label = st.sampled_from(("a", "b", "c", "d", "z"))
+    subset = st.lists(label, max_size=3).map(tuple)
+    value = st.floats()
+    entries = st.lists(st.builds(WeightEntry, subset, value), max_size=4).map(tuple)
+    named = tuple(
+        NamedAssignment(f"D{i + 1}", e) for i, e in enumerate(draw(st.lists(entries, max_size=3)))
+    )
+    pairs = draw(st.lists(st.builds(PairDegree, st.tuples(label, label), value), max_size=3))
+    overrides = draw(
+        st.lists(st.builds(OverrideDegree, st.tuples(subset, subset), value), max_size=2)
+    )
+    return ScenarioDocument(tuple(draw(st.lists(label, max_size=5))), named, tuple(pairs), tuple(overrides))
+
+
+@given(st.one_of(documents(), loose_documents()))
+@settings(max_examples=200)
+def test_scenario_build_raises_only_fusion_errors(doc):
+    try:
+        doc.build()
+    except FusionError:
+        pass
 
 
 # --- arbitrary scenario bytes -------------------------------------------------------
