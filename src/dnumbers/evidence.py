@@ -272,13 +272,14 @@ class DNumber:
                 acc[mask] = acc.get(mask, 0.0) + w
         self._fill(frame, acc)
 
-    def _fill(self, frame: Frame, acc: Mapping[int, float]) -> None:
+    def _fill(self, frame: Frame, acc: Mapping[int, float]) -> "DNumber":
         order = _canonical(acc)
         self.frame = frame
         self._masses = dict(zip(order, map(acc.__getitem__, order)))
         self._q = fsum(self._masses.values())
         if self._q > 1.0 + EPSILON:
             raise MassOverflow(f"total mass {self._q!r} exceeds 1")
+        return self
 
     @classmethod
     def _from_masks(cls, frame: Frame, masses: Mapping[int, float]) -> "DNumber":
@@ -287,9 +288,7 @@ class DNumber:
         weights = masses.values()
         positive = masses and set(map(type, weights)) == {float} and all(map((0.0).__lt__, weights))
         if positive and max(weights) <= 1.0 + EPSILON and 0 < min(masses) and max(masses) <= frame.full_mask:
-            self = cls.__new__(cls)  # NaN and -0.0 are not positive
-            self._fill(frame, masses)
-            return self
+            return cls.__new__(cls)._fill(frame, masses)  # NaN and -0.0 are not positive
         return cls(frame, masses)
 
     @classmethod

@@ -515,8 +515,7 @@ def dcr2(
     masses, _ = _products(d1, d2, model._degrees_from)
     total = fsum(masses.values())
     q1, q2 = d1.q_value, d2.q_value
-    # Relative to Q1*Q2, the mass the products started with; multiplied first,
-    # so that swapping the operands cannot move the bound by a rounding.
+    # Relative to Q1*Q2, the mass the products started with, multiplied first so both orders agree.
     if total <= TOTAL_CONFLICT_TOLERANCE * (q1 * q2):
         raise TotalConflict(
             f"no mass survives the combination (sum of D_t = {total!r})"

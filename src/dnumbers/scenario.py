@@ -355,17 +355,20 @@ def format_scenario(doc: ScenarioDocument) -> str:
     """Print a document in canonical form; parsing it back reproduces ``doc``."""
     out = ["frame: " + ", ".join(doc.frame)]
     for named in doc.dnumbers:
-        out += ["", f"dnumber {named.name}:"]
+        out.append("")
+        out.append(f"dnumber {named.name}:")
         for entry in named.entries:
             out.append(f"  {fmt_subset(entry.subset)}: {_fmt_number(entry.weight)}")
     if doc.pairs:
-        out += ["", "nonexclusivity:"]
+        out.append("")
+        out.append("nonexclusivity:")
         for pair in doc.pairs:
             out.append(
                 f"  {pair.elements[0]} ~ {pair.elements[1]}: {_fmt_number(pair.degree)}"
             )
     if doc.overrides:
-        out += ["", "overrides:"]
+        out.append("")
+        out.append("overrides:")
         for override in doc.overrides:
             out.append(
                 f"  {fmt_subset(override.subsets[0])} ~ {fmt_subset(override.subsets[1])}: "
