@@ -370,8 +370,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
-        # Older argparse (3.13.0 and before) skips the optional scenario once it has
-        # read `matrix KIND`, so a file named after `--output` is left over.
+        # Some argparse versions (3.11.7, 3.12.1, 3.13.0) leave the optional scenario
+        # unset once they read `matrix KIND`, so a file named after `--output` is left over.
         if args.scenario is None and len(extra) == 1 and (extra[0] == "-" or extra[0][:1] != "-"):
             args.scenario = extra.pop()
         if extra:

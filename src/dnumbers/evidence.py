@@ -288,7 +288,7 @@ class DNumber:
         weights = masses.values()
         positive = masses and set(map(type, weights)) == {float} and all(map((0.0).__lt__, weights))
         if positive and max(weights) <= 1.0 + EPSILON and 0 < min(masses) and max(masses) <= frame.full_mask:
-            return cls.__new__(cls)._fill(frame, masses)  # NaN and -0.0 are not positive
+            return cls.__new__(cls)._fill(frame, masses)
         return cls(frame, masses)
 
     @classmethod
