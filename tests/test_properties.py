@@ -346,7 +346,7 @@ MASS_FAULTS = {
 def rule_masses(draw):
     """A frame and an int-keyed float mapping with at most one fault."""
     frame = Frame([f"e{i}" for i in range(draw(st.integers(1, MAX_FRAME_SIZE)))])
-    masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=12, unique=True))
+    masks = draw(st.lists(st.integers(1, frame.full_mask), min_size=1, max_size=40, unique=True))
     weights = [
         w / len(masks)
         for w in draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=len(masks), max_size=len(masks)))
