@@ -66,16 +66,6 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sort_key(mask: int) -> int:
-    """The key that :meth:`Frame.sort_key` returns and documents."""
-    rev = (
-        _REVERSED_BYTE[mask & 0xFF] << 16
-        | _REVERSED_BYTE[mask >> 8 & 0xFF] << 8
-        | _REVERSED_BYTE[mask >> 16]
-    )
-    return (mask.bit_count() << MAX_FRAME_SIZE) | (_KEY_LOW - rev)
-
-
 def _shuffle(items: array, top: bytes) -> array:
     """Masks to ``Frame.sort_key`` keys and back: bytes 0-2 of each item swap ends
     through ``_FLIPPED_BYTE``, and byte 3 is taken from ``top``."""
@@ -86,11 +76,8 @@ def _shuffle(items: array, top: bytes) -> array:
 
 
 def _canonical(masks: Collection[int]) -> list[int]:
-    """``sorted(masks, key=Frame.sort_key)``; from 32 masks on, without a Python call
-    per mask: the keys, below 2^30 so that CPython compares them fast, sort as plain
-    ints.  Below that the few µs the byte passes cost up front are not won back."""
-    if len(masks) < 32:
-        return sorted(masks, key=_sort_key)
+    """``sorted(masks, key=Frame.sort_key)`` without a Python call per mask: the keys,
+    below 2^30 so that CPython compares them fast, sort as plain ints."""
     masks = array("I", masks)
     keys = array("I", sorted(_shuffle(masks, bytes(map(int.bit_count, masks)))))
     return _shuffle(keys, bytes(len(keys))).tolist()
@@ -176,7 +163,12 @@ class Frame:
         ``(cardinality, ascending element indices)``; the empty set sorts
         first.  The reversal is three lookups in a byte table.
         """
-        return _sort_key(mask)
+        rev = (
+            _REVERSED_BYTE[mask & 0xFF] << 16
+            | _REVERSED_BYTE[mask >> 8 & 0xFF] << 8
+            | _REVERSED_BYTE[mask >> 16]
+        )
+        return (mask.bit_count() << MAX_FRAME_SIZE) | (_KEY_LOW - rev)
 
     def subsets(self) -> Iterator[int]:
         """All non-empty subsets in canonical order."""

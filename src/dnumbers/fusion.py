@@ -541,8 +541,13 @@ def mean_assignment(ds: Sequence[DNumber]) -> DNumber:
     frame = ds[0].frame
     if any(d.frame != frame for d in ds):
         raise FrameMismatch("D numbers must share one frame")
-    focal = set().union(*[d.focal_sets() for d in ds])
-    return DNumber._from_masks(frame, {m: fsum(d.weight(m) for d in ds) / len(ds) for m in focal})
+    focal: set[int] = set()
+    for d in ds:
+        focal.update(d.focal_sets())
+    n = len(ds)
+    return DNumber._from_masks(
+        frame, {m: fsum(d.weight(m) for d in ds) / n for m in focal}
+    )
 
 
 def _classical_step(name: str, rule: Callable[..., tuple]) -> Callable[..., FusionReport]:

@@ -143,8 +143,9 @@ class _Parser:
         self.overrides: list[OverrideDegree] = []
         self.pair_keys: set[tuple[str, str]] = set()
         self.override_keys: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-        self.section: object = None  # None | list[WeightEntry] | "nonexclusivity" | "overrides"
-        self.seen_sections: set[str] = set()
+        self.section: object = None  # None | list[WeightEntry] | "pairs" | "overrides"
+        self.seen_pairs_section = False
+        self.seen_overrides_section = False
 
     def run(self) -> ScenarioDocument:
         for line_no, raw in enumerate(self.lines, start=1):
@@ -195,18 +196,23 @@ class _Parser:
             self.dnumbers.append((name, entries))
             self.section = entries
             return
-        for header, section in ((_PAIRS_HEADER, "nonexclusivity"), (_OVERRIDES_HEADER, "overrides")):
-            if header.match(raw):
-                if section in self.seen_sections:
-                    self.fail(f"the {section} section is already declared")
-                self.seen_sections.add(section)
-                self.section = section
-                return
+        if _PAIRS_HEADER.match(raw):
+            if self.seen_pairs_section:
+                self.fail("the nonexclusivity section is already declared")
+            self.seen_pairs_section = True
+            self.section = "pairs"
+            return
+        if _OVERRIDES_HEADER.match(raw):
+            if self.seen_overrides_section:
+                self.fail("the overrides section is already declared")
+            self.seen_overrides_section = True
+            self.section = "overrides"
+            return
         if self.section is None:
             self.fail("expected a section header ('dnumber <name>:', 'nonexclusivity:' or 'overrides:')")
         elif isinstance(self.section, list):
             self.subset_entry(raw, self.section)
-        elif self.section == "nonexclusivity":
+        elif self.section == "pairs":
             self.pair_entry(raw)
         else:
             self.override_entry(raw)
