@@ -211,14 +211,15 @@ def _cmd_conflict(args, doc: ScenarioDocument, raw: bytes) -> int:
 def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> int:
     frame = doc.build_frame()
     model = doc.build_model(frame)
-    matrix = model.matrix()
+    # The ranks alone, never the float rows: only the distinct values that
+    # some cell holds are formatted, once each, and every row indexes those
+    # strings and is written as soon as it is built.
+    matrix = model._ranked()
     if args.kind == "exclusive":
-        matrix = matrix.exclusive()
+        matrix = matrix.complement()
     labels = [frame.labels_of(mask) for mask in matrix.subsets]
-    # Only the distinct values that some cell holds are formatted, once each;
-    # every row indexes those strings and is written as soon as it is built.
-    shown, overrides = matrix._shown()
-    values = matrix._values
+    shown, overrides = matrix.shown()
+    values = matrix.values
     write = sys.stdout.write
     if args.output == "machine":
         import json  # imported here, as human output never needs it
@@ -227,7 +228,7 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> int:
         kind = "exclusive" if args.kind == "exclusive" else "nonexclusive"
         table = [repr(v) if r in shown else None for r, v in enumerate(values)]
         write('{\n  "kind": "%s",\n  "rows": [\n' % kind)
-        for k, row in enumerate(matrix._rows_as(table, repr)):
+        for k, row in enumerate(matrix.rows_as(table, repr)):
             write((",\n" if k else "") + "    [\n      " + ",\n      ".join(row) + "\n    ]")
         write('\n  ],\n  "subsets": [\n')
         write(",\n".join(
@@ -241,7 +242,7 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> int:
     width = max(map(len, [*headers, *texts.values(), *map("{:g}".format, overrides)]))
     table = [texts[r].rjust(width) if r in texts else None for r in range(len(values))]
     write(" ".join([" " * width] + [h.rjust(width) for h in headers]) + "\n")
-    rows = matrix._rows_as(table, lambda d: f"{d:g}".rjust(width))
+    rows = matrix.rows_as(table, lambda d: f"{d:g}".rjust(width))
     for header, row in zip(headers, rows):
         write(header.rjust(width) + " " + " ".join(row) + "\n")
     return EXIT_OK

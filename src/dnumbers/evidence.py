@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import chain, combinations
 from math import fsum
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Union
@@ -171,8 +172,16 @@ class Frame:
         return (mask.bit_count() << MAX_FRAME_SIZE) | (_KEY_LOW - rev)
 
     def subsets(self) -> Iterator[int]:
-        """All non-empty subsets in canonical order."""
-        return iter(_canonical(range(1, self.full_mask + 1)))
+        """All non-empty subsets in canonical order, generated lazily.
+
+        ``combinations`` of the single-element masks yields each cardinality's
+        subsets in ascending order of their element indices, which is the
+        order of :meth:`sort_key`.
+        """
+        bits = [1 << i for i in range(self.size)]
+        return chain.from_iterable(
+            map(sum, combinations(bits, k)) for k in range(1, len(bits) + 1)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Frame) and self.labels == other.labels

@@ -212,6 +212,10 @@ class NonExclusivityModel:
         Rows and columns follow the canonical subset order (by cardinality,
         then element indices).  Capped at ``MAX_MATRIX_FRAME_SIZE`` elements.
         """
+        return DegreeMatrix._complete(self._ranked())
+
+    def _ranked(self) -> "_RankedMatrix":
+        """The degree matrix as one rank byte per cell, without float rows."""
         n = self.frame.size
         if n > MAX_MATRIX_FRAME_SIZE:
             raise FrameTooLargeForMatrix(
@@ -239,16 +243,21 @@ class NonExclusivityModel:
         subsets = tuple(self.frame.subsets())
 
         def ranks_of(b: int) -> bytes:
-            # ranks[C] = max over j in C of reach[b][j]: start from the empty
-            # set (rank 0, degree 0.0) and double the masks element by element.
-            ranks = b"\0"
-            for r in reach[b]:
-                ranks += ranks.translate(raise_to[r])
-            return ranks
+            # ranks[C] = max over j in C of reach[b][j], in canonical column
+            # order.  by_size[k] holds the ranks of the k-subsets of
+            # {i, ..., n-1} in canonical order: first i joined to each
+            # (k-1)-subset of {i+1, ..., n-1}, then the k-subsets without i.
+            # The empty set, rank 0 (degree 0.0), starts the walk; it has no cell.
+            row_reach = reach[b]
+            by_size = [b"\0"] + [b""] * n
+            for i in range(n - 1, -1, -1):
+                raise_i = raise_to[row_reach[i]]
+                for k in range(n - i, 0, -1):
+                    by_size[k] = by_size[k - 1].translate(raise_i) + by_size[k]
+            return b"".join(by_size[1:])
 
-        ranks = tuple(map(ranks_of, subsets))
-        return DegreeMatrix._from_ranks(
-            self.frame, subsets, ranks, tuple(values), self._by_subset
+        return _RankedMatrix(
+            self.frame, subsets, tuple(map(ranks_of, subsets)), tuple(values), self._by_subset
         )
 
     def __repr__(self) -> str:
@@ -263,12 +272,11 @@ class DegreeMatrix(Record):
 
     ``rows[k][l]`` is the degree of ``subsets[k]`` and ``subsets[l]``, both in
     canonical order.  Besides the rows, a matrix carries what they were built
-    from, one byte per cell: for each row, the rank of every cell's degree in
-    the few distinct values of the model, indexed by column mask (mask 0, the
-    empty set, included), plus the model's overrides by subset, which win over
-    the ranked cells they cover.  :meth:`exclusive` and the CLI's renderer map
-    those ranks instead of visiting floats.  The carried fields take no part
-    in ``==``, hashing or ``repr``.
+    from: for each row, the rank of every cell's degree in the few distinct
+    values of the model, one byte per cell in the columns' canonical order,
+    plus the model's overrides by subset, which win over the ranked cells
+    they cover.  :meth:`exclusive` maps those ranks instead of visiting
+    floats.  The carried fields take no part in ``==``, hashing or ``repr``.
     """
 
     frame: Frame
@@ -280,70 +288,84 @@ class DegreeMatrix(Record):
     _no_compare = _no_repr = ("_ranks", "_values", "_overrides")
 
     @classmethod
-    def _from_ranks(
-        cls,
-        frame: Frame,
-        subsets: tuple[int, ...],
-        ranks: tuple[bytes, ...],
-        values: tuple[float, ...],
-        overrides: Mapping[int, Mapping[int, float]],
-    ) -> "DegreeMatrix":
-        rows = tuple(_rows_through(subsets, ranks, overrides, values, float))
-        return cls(frame, subsets, rows, ranks, values, overrides)
+    def _complete(cls, ranked: _RankedMatrix) -> "DegreeMatrix":
+        """The matrix of ``ranked``, with its float rows."""
+        rows = tuple(ranked.rows_as(ranked.values, float))
+        return cls(
+            ranked.frame, ranked.subsets, rows, ranked.ranks, ranked.values, ranked.overrides
+        )
 
     def exclusive(self) -> "DegreeMatrix":
         """The complementary matrix of exclusive degrees (1 minus each entry)."""
-        return DegreeMatrix._from_ranks(
+        ranked = _RankedMatrix(
+            self.frame, self.subsets, self._ranks, self._values, self._overrides
+        )
+        return DegreeMatrix._complete(ranked.complement())
+
+
+class _RankedMatrix(Record):
+    """A degree matrix before its float rows: what ``matrix()`` completes and
+    the CLI renders.
+
+    ``ranks[k][l]`` is the rank, in the sorted distinct degrees ``values``,
+    of the degree of ``subsets[k]`` and ``subsets[l]``, both in canonical
+    order, one byte per cell.  ``overrides`` holds the model's overrides by
+    subset, which win over the ranked cells they cover.
+    """
+
+    frame: Frame
+    subsets: tuple[int, ...]
+    ranks: tuple[bytes, ...]
+    values: tuple[float, ...]
+    overrides: Mapping[int, Mapping[int, float]]
+
+    def complement(self) -> "_RankedMatrix":
+        """The exclusive degrees: the same ranks, ``1 - v`` for each distinct
+        value and ``1 - d`` for each override."""
+        return _RankedMatrix(
             self.frame,
             self.subsets,
-            self._ranks,
-            tuple([1.0 - v for v in self._values]),
+            self.ranks,
+            tuple([1.0 - v for v in self.values]),
             {
                 b: {c: 1.0 - d for c, d in over.items()}
-                for b, over in self._overrides.items()
+                for b, over in self.overrides.items()
             },
         )
 
-    def _shown(self) -> tuple[set[int], list[float]]:
-        """What the cells of ``rows`` hold: the ranks of the cells that no
+    def shown(self) -> tuple[set[int], list[float]]:
+        """What the cells of the rows hold: the ranks of the cells that no
         override covers, and the override of each cell that one covers."""
+        position = {m: k for k, m in enumerate(self.subsets)}
         seen = b""
-        for b, ranks in zip(self.subsets, self._ranks):
-            over = self._overrides.get(b)
+        for k, (b, ranks) in enumerate(zip(self.subsets, self.ranks)):
+            over = self.overrides.get(b)
             if over:
                 # The diagonal cell, degree 1.0, is never overridden.
                 ranks = bytearray(ranks)
                 for c in over:
-                    ranks[c] = ranks[b]
-            # Mask 0, the empty set, has no cell.
-            new = ranks[1:].translate(None, seen)
+                    ranks[position[c]] = ranks[k]
+            new = ranks.translate(None, seen)
             if new:
                 seen += bytes(set(new))
-        return set(seen), [d for over in self._overrides.values() for d in over.values()]
+        return set(seen), [d for over in self.overrides.values() for d in over.values()]
 
-    def _rows_as(
-        self, table: Sequence[str | None], cell: Callable[[float], str]
-    ) -> Iterator[tuple[str, ...]]:
-        """Each row as strings: a rank r as ``table[r]``, an override d as ``cell(d)``."""
-        return _rows_through(self.subsets, self._ranks, self._overrides, table, cell)
-
-
-def _rows_through(subsets, ranks, overrides, table, cell) -> Iterator[tuple]:
-    """The rows of ranked cells in canonical order, each rank r read as
-    ``table[r]`` and each override d of the row as ``cell(d)``."""
-    # Mask 0 rides along so that itemgetter returns a tuple even for a
-    # one-subset frame; its cell, the last, is sliced off.
-    pick = itemgetter(*subsets, 0)
-    position = {m: k for k, m in enumerate(subsets)}
-    for b, row_ranks in zip(subsets, ranks):
-        row = itemgetter(*pick(row_ranks))(table)[:-1]
-        over = overrides.get(b)
-        if over:
-            cells = list(row)
-            for c, d in over.items():
-                cells[position[c]] = cell(d)
-            row = tuple(cells)
-        yield row
+    def rows_as(self, table: Sequence, cell: Callable[[float], object]) -> Iterator[tuple]:
+        """Each row, a rank r read as ``table[r]`` and an override d of the
+        row as ``cell(d)``."""
+        position = {m: k for k, m in enumerate(self.subsets)}
+        for b, row_ranks in zip(self.subsets, self.ranks):
+            row = itemgetter(*row_ranks)(table)
+            if len(row_ranks) == 1:
+                # itemgetter of one index returns the item, not a 1-tuple.
+                row = (row,)
+            over = self.overrides.get(b)
+            if over:
+                cells = list(row)
+                for c, d in over.items():
+                    cells[position[c]] = cell(d)
+                row = tuple(cells)
+            yield row
 
 
 # --- completeness aggregators --------------------------------------------------

@@ -355,6 +355,39 @@ class TestMatrix:
                 assert (code, err) == (0, "")
                 assert out == render_matrix(expected, kind, output)
 
+    @pytest.mark.parametrize("kind", ["expand", "exclusive"])
+    @pytest.mark.parametrize("output", ["human", "machine"])
+    def test_renders_without_float_rows(self, capsys, monkeypatch, tmp_path, kind, output):
+        text = self._scenario(5100, 6)
+        path = tmp_path / "matrix.scn"
+        path.write_bytes(text.encode("utf-8"))
+        matrix = parse_scenario(text.encode("utf-8")).build_model().matrix()
+        expected = render_matrix(matrix if kind == "expand" else matrix.exclusive(), kind, output)
+
+        def no_rows(cls, ranked):
+            raise AssertionError("dnumbers matrix built the float rows")
+
+        monkeypatch.setattr(fusion.DegreeMatrix, "_complete", classmethod(no_rows))
+        code, out, err = run(capsys, "matrix", kind, str(path), "--output", output)
+        assert (code, err, out) == (0, "", expected)
+
+    def test_one_element_frame(self, capsys, tmp_path):
+        path = tmp_path / "one.scn"
+        path.write_text("frame: x\n")
+        outputs = {
+            (kind, output): run(capsys, "matrix", kind, str(path), "--output", output)
+            for kind in ("expand", "exclusive")
+            for output in ("human", "machine")
+        }
+        machine = '{\n  "kind": "%s",\n  "rows": [\n    [\n      %s\n    ]\n  ],\n' \
+            '  "subsets": [\n    [\n      "x"\n    ]\n  ]\n}\n'
+        assert outputs == {
+            ("expand", "human"): (0, "    {x}\n{x}   1\n", ""),
+            ("exclusive", "human"): (0, "    {x}\n{x}   0\n", ""),
+            ("expand", "machine"): (0, machine % ("nonexclusive", "1.0"), ""),
+            ("exclusive", "machine"): (0, machine % ("exclusive", "0.0"), ""),
+        }
+
     def test_width_comes_from_the_printed_cells(self, capsys, tmp_path):
         # The override hides the only cells of the pair degree, so neither
         # 0.123457 nor its complement 0.876543 is printed or sets the width.

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import islice
 
 import pytest
 
@@ -92,6 +94,7 @@ class TestFrame:
         expected = sorted(masks, key=canonical)
         assert sorted(masks, key=frame.sort_key) == expected
         assert _canonical(masks) == expected
+        assert list(frame.subsets()) == _canonical(range(1, frame.full_mask + 1))
 
     def test_sort_key_order_is_canonical_on_sampled_masks_at_the_cap(self):
         frame = frame_of(MAX_FRAME_SIZE)
@@ -108,6 +111,18 @@ class TestFrame:
     def test_subsets_come_in_canonical_order(self):
         frame = frame_of(10)
         assert list(frame.subsets()) == sorted(range(1, frame.full_mask + 1), key=canonical)
+
+    def test_subsets_are_generated_lazily_at_the_cap(self):
+        frame = frame_of(MAX_FRAME_SIZE)
+        start = time.perf_counter()
+        first = list(islice(frame.subsets(), 300))
+        # All 2^24 - 1 subsets, sorted first, take seconds and hundreds of MB.
+        assert time.perf_counter() - start < 1.0
+        # The 24 singletons, then the 276 pairs by their lower, then higher element.
+        n = MAX_FRAME_SIZE
+        assert first == [1 << i for i in range(n)] + [
+            1 << i | 1 << j for i in range(n) for j in range(i + 1, n)
+        ]
 
     def test_full_mask_covers_every_element(self):
         for size in range(1, MAX_FRAME_SIZE + 1):

@@ -198,6 +198,26 @@ class TestMatrix:
         for b, row in zip(matrix.subsets, matrix.rows, strict=True):
             assert row == tuple(brute_degree(pairs, overrides, b, c) for c in matrix.subsets)
 
+    @pytest.mark.parametrize("size", range(9, 13))
+    def test_sampled_rows_match_the_brute_force_oracle_up_to_the_cap(self, size):
+        model = self._model_with_overrides(4300 + size, size)
+        pairs = dict(model.element_degrees)
+        overrides = dict(model.subset_overrides)
+        matrix = model.matrix()
+        comp = matrix.exclusive()
+        subsets = matrix.subsets
+        assert subsets == tuple(sorted(range(1, 1 << size), key=model.frame.sort_key))
+        # The first and last rows, a few at random, and a few an override covers.
+        rng = random.Random(size)
+        overridden = sorted({m for pair in overrides for m in pair})
+        assert overridden
+        rows = {0, len(subsets) - 1, *rng.sample(range(len(subsets)), 4)}
+        rows.update(subsets.index(m) for m in rng.sample(overridden, min(3, len(overridden))))
+        for k in sorted(rows):
+            expected = tuple(brute_degree(pairs, overrides, subsets[k], c) for c in subsets)
+            assert matrix.rows[k] == expected
+            assert list(map(repr, comp.rows[k])) == [repr(1.0 - v) for v in expected]
+
     def test_exclusive_is_exact_complement_with_overrides(self):
         model = self._model_with_overrides(4100, 6)
         assert model.subset_overrides
@@ -248,7 +268,9 @@ class TestMatrix:
         matrix = NonExclusivityModel(Frame(["x"])).matrix()
         assert matrix.subsets == (1,)
         assert matrix.rows == ((1.0,),)
-        assert matrix.exclusive().rows == ((0.0,),)
+        comp = matrix.exclusive()
+        assert (comp.subsets, comp.rows) == ((1,), ((0.0,),))
+        assert comp.exclusive() == matrix
 
     def test_materialization_cap(self):
         frame = Frame([f"e{i}" for i in range(13)])
