@@ -14,7 +14,6 @@ rules collapse to Dempster's rule.
 from __future__ import annotations
 
 from math import fsum
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -215,7 +214,8 @@ class NonExclusivityModel:
         return DegreeMatrix._complete(self._ranked())
 
     def _ranked(self) -> "_RankedMatrix":
-        """The degree matrix as one rank byte per cell, without float rows."""
+        """The degree matrix as the rank bytes of its disjoint cells, without
+        float rows."""
         n = self.frame.size
         if n > MAX_MATRIX_FRAME_SIZE:
             raise FrameTooLargeForMatrix(
@@ -230,34 +230,30 @@ class NonExclusivityModel:
         elem = [bytearray(n) for _ in range(n)]
         for (i, j), d in self._pairs.items():
             elem[i][j] = elem[j][i] = rank[d]
-        for i in range(n):
-            elem[i][i] = rank[1.0]
         # raise_to[r] maps a rank x to max(x, r).
         raise_to = [bytes([r]) * r + bytes(range(r, 256)) for r in range(len(values))]
-        # reach[B][j]: rank of the degree between element j and subset B, the
-        # DP max(reach[B minus its lowest element], elem[lowest element]).
+        # reach[B][j]: rank of the degree between element j outside B and
+        # subset B, the DP max(reach[B minus its lowest element], elem[lowest
+        # element]).
         reach = [bytes(n)]
         for b in range(1, 1 << n):
             low = b & -b
             reach.append(bytes(map(max, reach[b ^ low], elem[low.bit_length() - 1])))
         subsets = tuple(self.frame.subsets())
-
-        def ranks_of(b: int) -> bytes:
-            # ranks[C] = max over j in C of reach[b][j], in canonical column
-            # order.  by_size[k] holds the ranks of the k-subsets of
-            # {i, ..., n-1} in canonical order: first i joined to each
-            # (k-1)-subset of {i+1, ..., n-1}, then the k-subsets without i.
-            # The empty set, rank 0 (degree 0.0), starts the walk; it has no cell.
-            row_reach = reach[b]
-            by_size = [b"\0"] + [b""] * n
-            for i in range(n - 1, -1, -1):
-                raise_i = raise_to[row_reach[i]]
-                for k in range(n - i, 0, -1):
-                    by_size[k] = by_size[k - 1].translate(raise_i) + by_size[k]
-            return b"".join(by_size[1:])
-
+        position = {m: k for k, m in enumerate(subsets)}
+        positions, ranks = [], []
+        for b in subsets:
+            # The subsets C of B's complement and the ranks max over j in C of
+            # reach[B][j], doubled one element j at a time, lowest first; the
+            # empty set, rank 0, starts them and has no cell.
+            row_reach, masks, row = reach[b], [0], b"\0"
+            for j in bit_indices(self.frame.full_mask ^ b):
+                row += row.translate(raise_to[row_reach[j]])
+                masks += [m | 1 << j for m in masks]
+            positions.append(tuple(map(position.__getitem__, masks[1:])))
+            ranks.append(row[1:])
         return _RankedMatrix(
-            self.frame, subsets, tuple(map(ranks_of, subsets)), tuple(values), self._by_subset
+            self.frame, subsets, tuple(positions), tuple(ranks), tuple(values), self._by_subset
         )
 
     def __repr__(self) -> str:
@@ -271,50 +267,45 @@ class DegreeMatrix(Record):
     """A materialized symmetric degree matrix over the non-empty subsets.
 
     ``rows[k][l]`` is the degree of ``subsets[k]`` and ``subsets[l]``, both in
-    canonical order.  Besides the rows, a matrix carries what they were built
-    from: for each row, the rank of every cell's degree in the few distinct
-    values of the model, one byte per cell in the columns' canonical order,
-    plus the model's overrides by subset, which win over the ranked cells
-    they cover.  :meth:`exclusive` maps those ranks instead of visiting
-    floats.  The carried fields take no part in ``==``, hashing or ``repr``.
+    canonical order.  Besides the rows, a matrix carries the
+    :class:`_RankedMatrix` they were built from, which :meth:`exclusive`
+    complements instead of visiting floats.  The carried field takes no part
+    in ``==``, hashing or ``repr``.
     """
 
     frame: Frame
     subsets: tuple[int, ...]
     rows: tuple[tuple[float, ...], ...]
-    _ranks: tuple[bytes, ...]
-    _values: tuple[float, ...]
-    _overrides: Mapping[int, Mapping[int, float]]
-    _no_compare = _no_repr = ("_ranks", "_values", "_overrides")
+    _ranked: _RankedMatrix
+    _no_compare = _no_repr = ("_ranked",)
 
     @classmethod
     def _complete(cls, ranked: _RankedMatrix) -> "DegreeMatrix":
         """The matrix of ``ranked``, with its float rows."""
         rows = tuple(ranked.rows_as(ranked.values, float))
-        return cls(
-            ranked.frame, ranked.subsets, rows, ranked.ranks, ranked.values, ranked.overrides
-        )
+        return cls(ranked.frame, ranked.subsets, rows, ranked)
 
     def exclusive(self) -> "DegreeMatrix":
         """The complementary matrix of exclusive degrees (1 minus each entry)."""
-        ranked = _RankedMatrix(
-            self.frame, self.subsets, self._ranks, self._values, self._overrides
-        )
-        return DegreeMatrix._complete(ranked.complement())
+        return DegreeMatrix._complete(self._ranked.complement())
 
 
 class _RankedMatrix(Record):
     """A degree matrix before its float rows: what ``matrix()`` completes and
     the CLI renders.
 
-    ``ranks[k][l]`` is the rank, in the sorted distinct degrees ``values``,
-    of the degree of ``subsets[k]`` and ``subsets[l]``, both in canonical
-    order, one byte per cell.  ``overrides`` holds the model's overrides by
-    subset, which win over the ranked cells they cover.
+    Only the cells of disjoint subsets are stored.  Row k keeps, for each
+    non-empty subset C of the complement of ``subsets[k]``, C's canonical
+    column position in ``positions[k]`` and, in ``ranks[k]``, the rank of
+    their degree in the sorted distinct degrees ``values``, one byte per
+    cell.  Every other cell holds the top rank, ``len(values) - 1``, which is
+    degree 1.0.  ``overrides`` holds the model's overrides by subset, which
+    win over the ranked cells they cover.
     """
 
     frame: Frame
     subsets: tuple[int, ...]
+    positions: tuple[tuple[int, ...], ...]
     ranks: tuple[bytes, ...]
     values: tuple[float, ...]
     overrides: Mapping[int, Mapping[int, float]]
@@ -325,6 +316,7 @@ class _RankedMatrix(Record):
         return _RankedMatrix(
             self.frame,
             self.subsets,
+            self.positions,
             self.ranks,
             tuple([1.0 - v for v in self.values]),
             {
@@ -334,17 +326,18 @@ class _RankedMatrix(Record):
         )
 
     def shown(self) -> tuple[set[int], list[float]]:
-        """What the cells of the rows hold: the ranks of the cells that no
-        override covers, and the override of each cell that one covers."""
+        """What the cells of the rows hold: the top rank and the ranks of the
+        disjoint cells that no override covers, and the override of each cell
+        that one covers."""
         position = {m: k for k, m in enumerate(self.subsets)}
-        seen = b""
-        for k, (b, ranks) in enumerate(zip(self.subsets, self.ranks)):
+        top = len(self.values) - 1
+        seen = bytes([top])
+        for b, positions, ranks in zip(self.subsets, self.positions, self.ranks):
             over = self.overrides.get(b)
             if over:
-                # The diagonal cell, degree 1.0, is never overridden.
                 ranks = bytearray(ranks)
                 for c in over:
-                    ranks[position[c]] = ranks[k]
+                    ranks[positions.index(position[c])] = top
             new = ranks.translate(None, seen)
             if new:
                 seen += bytes(set(new))
@@ -354,18 +347,16 @@ class _RankedMatrix(Record):
         """Each row, a rank r read as ``table[r]`` and an override d of the
         row as ``cell(d)``."""
         position = {m: k for k, m in enumerate(self.subsets)}
-        for b, row_ranks in zip(self.subsets, self.ranks):
-            row = itemgetter(*row_ranks)(table)
-            if len(row_ranks) == 1:
-                # itemgetter of one index returns the item, not a 1-tuple.
-                row = (row,)
+        top = [table[len(self.values) - 1]] * len(self.subsets)
+        for b, positions, ranks in zip(self.subsets, self.positions, self.ranks):
+            row = top.copy()
+            for k, r in zip(positions, ranks):
+                row[k] = table[r]
             over = self.overrides.get(b)
             if over:
-                cells = list(row)
                 for c, d in over.items():
-                    cells[position[c]] = cell(d)
-                row = tuple(cells)
-            yield row
+                    row[position[c]] = cell(d)
+            yield tuple(row)
 
 
 # --- completeness aggregators --------------------------------------------------

@@ -257,12 +257,44 @@ class TestMatrix:
             abc, {("a", "b"): 0.3}, {pair: 0.0 for pair in covered}
         ).matrix()
         listed = NonExclusivityModel.exclusive(abc).matrix()
-        assert listed._ranks != overridden._ranks
-        assert listed._values != overridden._values
+        assert listed._ranked.ranks != overridden._ranked.ranks
+        assert listed._ranked.values != overridden._ranked.values
         assert listed == overridden and hash(listed) == hash(overridden)
         assert repr(listed) == repr(overridden)
-        assert "_ranks" not in repr(listed)
+        assert "_ranked" not in repr(listed)
         assert listed.exclusive() == overridden.exclusive()
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_shown_ranks_are_the_ranks_the_rows_hold(self, size):
+        # Random overrides, plus overrides on every cell of one listed pair
+        # degree, so that no cell shows that degree's rank.
+        rng = random.Random(4400 + size)
+        frame = Frame([f"e{i}" for i in range(size)])
+        model = random_model(rng, frame)
+        pairs = dict(model.element_degrees)
+        overrides = {}
+        for _ in range(size):
+            m1 = rng.randint(1, frame.full_mask)
+            m2 = rng.randint(1, frame.full_mask) & ~m1
+            if m2:
+                overrides[(min(m1, m2), max(m1, m2))] = rng.random()
+        hidden = rng.choice(sorted(pairs.values())) if pairs else None
+        for b in range(1, frame.full_mask + 1):
+            for c in range(b + 1, frame.full_mask + 1):
+                if not b & c and brute_degree(pairs, overrides, b, c) == hidden:
+                    overrides[(b, c)] = 0.5 * hidden
+        labels = frame.labels
+        model = NonExclusivityModel(
+            frame, {(labels[i], labels[j]): d for (i, j), d in pairs.items()}, overrides
+        )
+        ranked = model._ranked()
+        for matrix in (ranked, ranked.complement()):
+            ranks = list(range(len(matrix.values)))
+            rows = list(matrix.rows_as(ranks, lambda d: None))
+            assert all(len(row) == len(matrix.subsets) for row in rows)
+            assert matrix.shown()[0] == {r for row in rows for r in row if r is not None}
+        if hidden is not None:
+            assert ranked.values.index(hidden) not in ranked.shown()[0]
 
     def test_one_element_frame(self):
         matrix = NonExclusivityModel(Frame(["x"])).matrix()

@@ -86,8 +86,8 @@ CASES = [
     ),
     Case(
         DegreeMatrix,
-        ("frame", "subsets", "rows", "_ranks", "_values", "_overrides"),
-        (AB, MATRIX.subsets, MATRIX.rows, MATRIX._ranks, MATRIX._values, MATRIX._overrides),
+        ("frame", "subsets", "rows", "_ranked"),
+        (AB, MATRIX.subsets, MATRIX.rows, MATRIX._ranked),
         "DegreeMatrix(frame=Frame(['a', 'b']), subsets=(1, 2, 3), "
         "rows=((1.0, 0.25, 1.0), (0.25, 1.0, 1.0), (1.0, 1.0, 1.0)))",
         ("rows", ((1.0, 0.5, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 1.0))),
@@ -266,7 +266,7 @@ def test_copy_and_pickle(case):
 
 
 def test_carried_matrix_fields_take_no_part_in_equality_or_hash():
-    bare = DegreeMatrix(AB, MATRIX.subsets, MATRIX.rows, b"", (), {})
+    bare = DegreeMatrix(AB, MATRIX.subsets, MATRIX.rows, None)
     assert bare == MATRIX and hash(bare) == hash(MATRIX)
     assert repr(bare) == repr(MATRIX)
 
