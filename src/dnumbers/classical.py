@@ -6,8 +6,8 @@ conflict when it does not; the D number rules of :mod:`dnumbers.fusion` take
 that degree from their model, one row of degrees per focal set B.  The
 classical rules require complete operands and fix it: 0 for conjunctive,
 Dempster and Yager, 1 for Dubois-Prade.  Cell sums use ``math.fsum``, so every
-rule is exactly commutative.  The rules are checked against an independent
-brute-force oracle, ``brute_dempster`` in the test helpers.
+rule is exactly commutative.  The rules and K are checked against independent
+brute-force oracles, ``brute_dempster`` and ``brute_conflict`` in the tests.
 """
 
 from __future__ import annotations
@@ -40,19 +40,22 @@ def _check_pair_budget(m1: DNumber, m2: DNumber) -> None:
 
 def _products(
     m1: DNumber, m2: DNumber, degrees_from: Callable[[int], Callable[[int], float]]
-) -> tuple[dict[int, float], float]:
-    """Product masses per target subset, in no particular order, plus the conflict.
+) -> tuple[dict[int, float], float, float]:
+    """Product masses per target subset, in no particular order, plus the
+    discounted conflict and the classical global conflict K.
 
     Each product m1(B)*m2(C) lands on B&C when the pair intersects; a disjoint
-    pair credits degree*product to B|C and (1-degree)*product to the
-    conflict, where ``degrees_from(B)`` is B's row: a function from each C
-    disjoint from B to their degree.  A row is asked for at B's first disjoint
-    partner, so sources that rarely conflict build few rows.  Cells and
-    conflict are fsum-reduced, making the outcome independent of operand order.
+    pair adds its product to K and credits degree*product to B|C and
+    (1-degree)*product to the discounted conflict, where ``degrees_from(B)``
+    is B's row: a function from each C disjoint from B to their degree.  A row
+    is asked for at B's first disjoint partner, so sources that rarely
+    conflict build few rows.  Cells and both conflicts are fsum-reduced,
+    making the outcome independent of operand order.
     """
     _check_pair_budget(m1, m2)
     cells: defaultdict[int, list[float]] = defaultdict(list)
     conflict: list[float] = []
+    disjoint: list[float] = []
     for b, w1 in m1.items():
         degree = None
         for c, w2 in m2.items():
@@ -61,6 +64,7 @@ def _products(
             if inter:
                 cells[inter].append(prod)
             else:
+                disjoint.append(prod)
                 if degree is None:
                     degree = degrees_from(b)
                 u = degree(c)
@@ -68,7 +72,7 @@ def _products(
                     cells[b | c].append(u * prod)
                 if u < 1.0:
                     conflict.append((1.0 - u) * prod)
-    return {a: fsum(v) for a, v in cells.items()}, fsum(conflict)
+    return {a: fsum(v) for a, v in cells.items()}, fsum(conflict), fsum(disjoint)
 
 
 def _zero(c: int) -> float:
@@ -121,7 +125,7 @@ def conjunctive(m1: DNumber, m2: DNumber) -> ConjunctiveResult:
     redistributing it.
     """
     _require_combinable(m1, m2)
-    masses, k = _products(m1, m2, _exclusive)
+    masses, _, k = _products(m1, m2, _exclusive)
     masses[0] = k
     return ConjunctiveResult(m1.frame, MappingProxyType({a: masses[a] for a in _canonical(masses)}))
 
@@ -148,7 +152,7 @@ def dempster(m1: DNumber, m2: DNumber) -> DNumber:
 def _dempster(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
     """:func:`dempster` and the global conflict K its one kernel pass found."""
     _require_combinable(m1, m2)
-    masses, k = _products(m1, m2, _exclusive)
+    masses, _, k = _products(m1, m2, _exclusive)
     if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"global conflict K = {k!r}; combination is undefined")
     denom = 1.0 - k
@@ -163,7 +167,7 @@ def yager(m1: DNumber, m2: DNumber) -> DNumber:
 def _yager(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
     """:func:`yager` and the global conflict K its one kernel pass found."""
     _require_combinable(m1, m2)
-    masses, k = _products(m1, m2, _exclusive)
+    masses, _, k = _products(m1, m2, _exclusive)
     full = m1.frame.full_mask
     masses[full] = masses.get(full, 0.0) + k
     return DNumber._from_masks(m1.frame, masses), k
@@ -171,8 +175,14 @@ def _yager(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
 
 def dubois_prade(m1: DNumber, m2: DNumber) -> DNumber:
     """Dubois-Prade rule: each conflicting product moves to the pair's union."""
+    return _dubois_prade(m1, m2)[0]
+
+
+def _dubois_prade(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
+    """:func:`dubois_prade` and the global conflict K its one kernel pass found."""
     _require_combinable(m1, m2)
-    return DNumber._from_masks(m1.frame, _products(m1, m2, _overlapping)[0])
+    masses, _, k = _products(m1, m2, _overlapping)
+    return DNumber._from_masks(m1.frame, masses), k
 
 
 def global_conflict(d1: DNumber, d2: DNumber) -> float:
@@ -183,7 +193,4 @@ def global_conflict(d1: DNumber, d2: DNumber) -> float:
     """
     if d1.frame != d2.frame:
         raise FrameMismatch("operands are defined over different frames")
-    _check_pair_budget(d1, d2)
-    return fsum(
-        w1 * w2 for b, w1 in d1.items() for c, w2 in d2.items() if not b & c
-    )
+    return _products(d1, d2, _exclusive)[2]

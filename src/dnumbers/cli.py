@@ -18,7 +18,7 @@ import os
 import re
 import sys
 
-from .classical import global_conflict
+from .classical import _products
 from .errors import FusionError
 from .evidence import Frame
 from .fusion import (
@@ -27,7 +27,6 @@ from .fusion import (
     STRATEGIES,
     aggregator,
     combine_many,
-    residual_conflict,
     validate_f_points,
 )
 from .report import ReportDocument, fmt4, fmt_subset
@@ -194,8 +193,7 @@ def _cmd_conflict(args, doc: ScenarioDocument, raw: bytes) -> int:
     names = _pick_sources(doc, 2)[:2]
     scenario = doc.build()
     d1, d2 = (scenario.dnumbers[name] for name in names)
-    k = global_conflict(d1, d2)
-    k_d = residual_conflict(d1, d2, scenario.model)
+    _, k_d, k = _products(d1, d2, scenario.model._degrees_from)
     human = (
         f"sources: {names[0]}, {names[1]}\n"
         f"K   = {fmt4(k)} (classical global conflict)\n"

@@ -21,12 +21,11 @@ from .classical import (
     TOTAL_CONFLICT_TOLERANCE,
     ConjunctiveResult,
     _dempster,
+    _dubois_prade,
     _products,
     _yager,
     conjunctive,
     disjunctive,
-    dubois_prade,
-    global_conflict,
 )
 from .errors import (
     DuplicatePair,
@@ -99,7 +98,7 @@ class NonExclusivityModel:
     configured.
     """
 
-    __slots__ = ("frame", "_pairs", "_overrides", "_elem", "_by_subset")
+    __slots__ = ("frame", "_pairs", "_elem", "_by_subset")
 
     def __init__(
         self,
@@ -124,7 +123,6 @@ class NonExclusivityModel:
             elem[key] = d = _check_degree(degree)
             if d > 0.0:
                 table[i][j] = table[j][i] = d
-        over: dict[tuple[int, int], float] = {}
         by_subset: dict[int, dict[int, float]] = {}
         for (s1, s2), degree in _items(overrides):
             m1, m2 = frame.coerce(s1), frame.coerce(s2)
@@ -134,16 +132,14 @@ class NonExclusivityModel:
                 raise IntersectingPair(
                     "override targets intersecting subsets, whose degree is pinned to 1"
                 )
-            key = (m1, m2) if m1 <= m2 else (m2, m1)
-            if key in over:
+            if m2 in by_subset.get(m1, _NO_OVERRIDES):
                 raise DuplicatePair(
                     f"subset pair ({frame.labels_of(m1)}, {frame.labels_of(m2)}) assigned twice"
                 )
-            over[key] = d = _check_degree(degree)
+            d = _check_degree(degree)
             by_subset.setdefault(m1, {})[m2] = d
             by_subset.setdefault(m2, {})[m1] = d
         self._pairs = elem
-        self._overrides = over
         self._elem = tuple(map(tuple, table))
         self._by_subset = by_subset
 
@@ -158,7 +154,9 @@ class NonExclusivityModel:
 
     @property
     def subset_overrides(self) -> Mapping[tuple[int, int], float]:
-        return MappingProxyType(self._overrides)
+        return MappingProxyType(
+            {(b, c): d for b, over in self._by_subset.items() for c, d in over.items() if b < c}
+        )
 
     def degree(self, b1: SubsetLike, b2: SubsetLike) -> float:
         """Non-exclusive degree of two non-empty subsets.
@@ -259,7 +257,7 @@ class NonExclusivityModel:
     def __repr__(self) -> str:
         return (
             f"NonExclusivityModel({self.frame!r}, {len(self._pairs)} pairs, "
-            f"{len(self._overrides)} overrides)"
+            f"{len(self.subset_overrides)} overrides)"
         )
 
 
@@ -500,7 +498,7 @@ def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
             "dcr1 requires complete D numbers "
             f"(Q values {d1.q_value!r} and {d2.q_value!r}); use dcr2 instead"
         )
-    masses, k_d = _products(d1, d2, model._degrees_from)
+    masses, k_d, _ = _products(d1, d2, model._degrees_from)
     # Normalize by the surviving mass itself; algebraically 1 - K_D, but free
     # of the cancellation that 1 - K_D suffers when K_D is close to 1.
     retained = fsum(masses.values())
@@ -525,7 +523,7 @@ def dcr2(
     this coincides with dcr1.  Raises TotalConflict when no mass survives.
     """
     _require_common_frame(d1, d2, model)
-    masses, _ = _products(d1, d2, model._degrees_from)
+    masses, _, _ = _products(d1, d2, model._degrees_from)
     total = fsum(masses.values())
     q1, q2 = d1.q_value, d2.q_value
     # Relative to Q1*Q2, the mass the products started with, multiplied first so both orders agree.
@@ -580,11 +578,6 @@ def _conjunctive(d1: DNumber, d2: DNumber) -> tuple[ConjunctiveResult, float]:
 
 def _disjunctive(d1: DNumber, d2: DNumber) -> tuple[DNumber, None]:
     return disjunctive(d1, d2), None
-
-
-def _dubois_prade(d1: DNumber, d2: DNumber) -> tuple[DNumber, float]:
-    # Its kernel sends every disjoint product to the union, so it finds no K.
-    return dubois_prade(d1, d2), global_conflict(d1, d2)
 
 
 #: Every two-source rule as a step ``step(d1, d2, model, f)``; the classical

@@ -52,6 +52,13 @@ def brute_dempster(m1: dict[int, float], m2: dict[int, float]) -> dict[int, floa
     return {a: s / (1.0 - k) for a, s in sums.items() if s}
 
 
+def brute_conflict(m1: dict[int, float], m2: dict[int, float]) -> float:
+    """The global conflict K on plain ``{mask: weight}`` dicts: the fsum of
+    the products of the focal pairs that share no element.  It never calls
+    the package."""
+    return fsum(w1 * w2 for b, w1 in m1.items() for c, w2 in m2.items() if not b & c)
+
+
 def brute_degree(
     pairs: dict[tuple[int, int], float],
     overrides: dict[tuple[int, int], float],

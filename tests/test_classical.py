@@ -13,6 +13,7 @@ from dnumbers import (
     yager,
 )
 from dnumbers.errors import FrameMismatch, IncompleteInput, TotalConflict
+from helpers import brute_conflict
 
 RULES = (conjunctive, disjunctive, dempster, yager, dubois_prade)
 
@@ -162,12 +163,15 @@ class TestPreconditions:
 
 class TestGlobalConflict:
     def test_matches_conjunctive_on_complete_pairs(self, mixed_pair):
-        assert global_conflict(*mixed_pair) == conjunctive(*mixed_pair).k
+        m1, m2 = mixed_pair
+        k = brute_conflict(dict(m1.items()), dict(m2.items()))
+        assert global_conflict(m1, m2) == conjunctive(m1, m2).k == k
 
     def test_accepts_incomplete_inputs(self, abc):
         d1 = DNumber(abc, {("a",): 0.5})
         d2 = DNumber(abc, {("b",): 0.4})
         assert global_conflict(d1, d2) == 0.2
+        assert global_conflict(d1, d2) == brute_conflict(dict(d1.items()), dict(d2.items()))
 
     def test_frame_mismatch(self):
         with pytest.raises(FrameMismatch):

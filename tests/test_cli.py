@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dnumbers import AGGREGATORS, classical, fusion, parse_scenario
+from dnumbers import AGGREGATORS, classical, cli, fusion, parse_scenario
 from dnumbers.cli import build_parser, run_cli
 from dnumbers.fusion import RULES, STRATEGIES
 from dnumbers.scenario import MAX_SCENARIO_BYTES
@@ -151,23 +151,34 @@ class TestCombine:
         assert code == 2 and out == ""
         assert err.startswith("error[abort]:")
 
-    def test_yager_fold_makes_one_kernel_pass_per_step(self, capsys, monkeypatch):
-        passes = []
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (("combine", "--rule", "yager"), 2),
+            (("combine", "--rule", "dubois-prade"), 2),
+            (("conflict",), 1),
+        ],
+        ids=["yager", "dubois-prade", "conflict"],
+    )
+    def test_one_kernel_pass_per_step(self, capsys, monkeypatch, argv, passes):
+        # Every pass over the focal pairs goes through _products, wherever it
+        # is bound; global_conflict is counted too, in case a step calls it.
+        seen = []
 
         def counted(fn):
             def wrapper(*args):
-                passes.append(fn.__name__)
+                seen.append(fn.__name__)
                 return fn(*args)
 
             return wrapper
 
         for module, name in ((classical, "_products"), (classical, "global_conflict"),
-                             (fusion, "_products"), (fusion, "global_conflict")):
+                             (fusion, "_products"), (cli, "_products")):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
         three = str(FIXTURES / "three_complete.scn")
-        code, _, _ = run(capsys, "combine", "--rule", "yager", three)
+        code, _, _ = run(capsys, *argv, three)
         assert code == 0
-        assert passes == ["_products", "_products"]
+        assert seen == ["_products"] * passes
 
     def test_focal_pair_budget_exits_2_with_its_kind(self, capsys, monkeypatch):
         # abc_fusion.scn combines 3 x 2 focal sets.

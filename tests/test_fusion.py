@@ -48,7 +48,14 @@ from dnumbers.errors import (
 )
 from dnumbers import classical
 from dnumbers.classical import MAX_FOCAL_PAIRS
-from helpers import brute_degree, brute_residual, random_complete, random_model
+from helpers import (
+    brute_conflict,
+    brute_degree,
+    brute_residual,
+    random_complete,
+    random_dnumber,
+    random_model,
+)
 
 # Expanded degree matrix of the a/b/c overlap model, subsets in canonical
 # order {a},{b},{c},{a,b},{a,c},{b,c},{a,b,c}.
@@ -690,7 +697,8 @@ class TestFocalPairBudget:
 
 class TestClassicalSteps:
     """The classical steps take K from their one kernel pass; it must equal
-    ``global_conflict``, an fsum of the same products."""
+    ``global_conflict`` and the independent oracle ``brute_conflict``, fsums
+    of the same products."""
 
     @staticmethod
     def golden_inputs():
@@ -708,13 +716,34 @@ class TestClassicalSteps:
     def test_k_is_global_conflict_on_the_golden_inputs(self, rule):
         checked = 0
         for _, d1, d2, model in self.golden_inputs():
+            k = brute_conflict(dict(d1.items()), dict(d2.items()))
+            assert global_conflict(d1, d2) == k
             try:
                 report = RULES[rule](d1, d2, model, PRODUCT)
             except (IncompleteInput, TotalConflict):
                 continue
-            assert report.k == global_conflict(d1, d2)
+            assert report.k == global_conflict(d1, d2) == k
             checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_k_is_the_brute_conflict_on_seeded_pairs(self, size):
+        # Incomplete pairs too: global_conflict accepts them, and the kernel
+        # finds the same K whatever rows of degrees it is given.
+        rng = random.Random(7300 + size)
+        frame = Frame([f"e{i}" for i in range(size)])
+        for _ in range(12):
+            d1, d2 = random_dnumber(rng, frame, 12), random_dnumber(rng, frame, 12)
+            model = random_model(rng, frame)
+            k = brute_conflict(dict(d1.items()), dict(d2.items()))
+            assert global_conflict(d1, d2) == k
+            assert classical._products(d1, d2, model._degrees_from)[2] == k
+            for rule in ("conjunctive", "dempster", "yager", "dubois-prade"):
+                try:
+                    report = RULES[rule](d1, d2, model, PRODUCT)
+                except (IncompleteInput, TotalConflict):
+                    continue
+                assert report.k == k
 
     def test_disjunctive_reports_no_k(self, abc):
         d = DNumber(abc, {("a",): 0.5, ("b",): 0.5})

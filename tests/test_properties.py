@@ -38,7 +38,7 @@ from dnumbers import (
 from dnumbers.cli import run_cli
 from dnumbers.errors import FusionError, ScenarioError, TotalConflict
 from dnumbers.evidence import MAX_FRAME_SIZE
-from helpers import brute_dempster
+from helpers import brute_conflict, brute_dempster
 
 LABELS = ("a", "b", "c", "d")
 BUILTIN_AGGREGATORS = (PRODUCT, MINIMUM, MAXIMUM, AVERAGE, CONSTANT_ONE)
@@ -225,6 +225,7 @@ def test_degree_symmetric_and_pinned(s, data):
 def test_residual_conflict_never_exceeds_classical(s):
     _, d1, d2, model = s
     assert residual_conflict(d1, d2, model) <= global_conflict(d1, d2) + 1e-12
+    assert global_conflict(d1, d2) == brute_conflict(dict(d1.items()), dict(d2.items()))
 
 
 @given(state(n_dnumbers=2, complete=False))
@@ -232,6 +233,7 @@ def test_residual_conflict_equals_classical_when_exclusive(s):
     frame, d1, d2 = s
     model = NonExclusivityModel.exclusive(frame)
     assert residual_conflict(d1, d2, model) == global_conflict(d1, d2)
+    assert global_conflict(d1, d2) == brute_conflict(dict(d1.items()), dict(d2.items()))
 
 
 @given(state(n_dnumbers=2, with_model=True))
@@ -309,6 +311,7 @@ def test_classical_steps_report_the_global_conflict_exactly(s):
         except TotalConflict:
             continue
         assert report.k == global_conflict(d1, d2)
+        assert report.k == brute_conflict(dict(d1.items()), dict(d2.items()))
 
 
 @given(state(n_dnumbers=3, complete=False))
