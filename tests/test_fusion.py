@@ -722,7 +722,7 @@ class TestClassicalSteps:
                 report = RULES[rule](d1, d2, model, PRODUCT)
             except (IncompleteInput, TotalConflict):
                 continue
-            assert report.k == global_conflict(d1, d2) == k
+            assert report.k == k
             checked += 1
         assert checked >= 10
 
