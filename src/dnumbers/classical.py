@@ -8,6 +8,9 @@ classical rules require complete operands and fix it: 0 for conjunctive,
 Dempster and Yager, 1 for Dubois-Prade.  Cell sums use ``math.fsum``, so every
 rule is exactly commutative.  The rules and K are checked against independent
 brute-force oracles, ``brute_dempster`` and ``brute_conflict`` in the tests.
+Long lists of pending products are squeezed into short exact expansions
+(:func:`_squeeze`), with the same ``fsum`` bit for bit, so the kernel's memory
+follows the cells, not the pairs, up to one outer row's products.
 """
 
 from __future__ import annotations
@@ -27,6 +30,31 @@ TOTAL_CONFLICT_TOLERANCE = 1e-12
 #: Most focal pairs, |F1| * |F2|, that one two-source combination may visit;
 #: beyond it a rule raises TooManyFocalPairs before any product is formed.
 MAX_FOCAL_PAIRS = 1 << 20
+
+#: After an outer row, conflict lists longer than this are squeezed, and so is
+#: every long cell list once the cells took this many products since the last.
+_SQUEEZE_CONFLICT, _SQUEEZE_CELLS = 1 << 10, 1 << 17
+
+
+def _squeeze(v: list[float]) -> list[float]:
+    """At most about 40 floats with the exact sum of ``v``, which it extends:
+    ``fsum`` is correctly rounded, so ``v + [-fsum(v)]`` sums exactly to the
+    remainder, 2^53 times smaller (Shewchuk 1997)."""
+    kept = []
+    while s := fsum(v):
+        kept.append(s)
+        v.append(-s)
+    return kept
+
+
+def _compact(cells: dict[int, list[float]], added: int) -> int:
+    """Squeeze the long cell lists once ``added`` passes ``_SQUEEZE_CELLS``; the count left."""
+    if added <= _SQUEEZE_CELLS:
+        return added
+    for a, v in cells.items():
+        if len(v) > 8:
+            cells[a] = _squeeze(v)
+    return 0
 
 
 def _check_pair_budget(m1: DNumber, m2: DNumber) -> None:
@@ -50,12 +78,15 @@ def _products(
     is B's row: a function from each C disjoint from B to their degree.  A row
     is asked for at B's first disjoint partner, so sources that rarely
     conflict build few rows.  Cells and both conflicts are fsum-reduced,
-    making the outcome independent of operand order.
+    making the outcome independent of operand order.  Lists are squeezed
+    after each outer row (:func:`_compact`), so the bounds hold up to one row's
+    products; the cells are reduced in the dict that held them.
     """
     _check_pair_budget(m1, m2)
-    cells: defaultdict[int, list[float]] = defaultdict(list)
+    cells: defaultdict = defaultdict(list)
     conflict: list[float] = []
     disjoint: list[float] = []
+    added = 0
     for b, w1 in m1.items():
         degree = None
         for c, w2 in m2.items():
@@ -72,23 +103,24 @@ def _products(
                     cells[b | c].append(u * prod)
                 if u < 1.0:
                     conflict.append((1.0 - u) * prod)
-    return {a: fsum(v) for a, v in cells.items()}, fsum(conflict), fsum(disjoint)
+        if len(disjoint) > _SQUEEZE_CONFLICT:
+            disjoint, conflict = _squeeze(disjoint), _squeeze(conflict)
+        added = _compact(cells, added + len(m2))
+    for a, v in cells.items():
+        cells[a] = fsum(v)
+    cells.default_factory = None
+    return cells, fsum(conflict), fsum(disjoint)
 
 
-def _zero(c: int) -> float:
-    return 0.0
+def _constant_rows(u: float) -> Callable[[int], Callable[[int], float]]:
+    """Rows that give every disjoint pair the degree ``u``."""
+    def degree(c: int) -> float:
+        return u
+
+    return lambda b: degree
 
 
-def _one(c: int) -> float:
-    return 1.0
-
-
-def _exclusive(b: int) -> Callable[[int], float]:
-    return _zero
-
-
-def _overlapping(b: int) -> Callable[[int], float]:
-    return _one
+_exclusive, _overlapping = _constant_rows(0.0), _constant_rows(1.0)
 
 
 class ConjunctiveResult(Record):
@@ -135,9 +167,11 @@ def disjunctive(m1: DNumber, m2: DNumber) -> DNumber:
     _require_combinable(m1, m2)
     _check_pair_budget(m1, m2)
     cells: defaultdict[int, list[float]] = defaultdict(list)
+    added = 0
     for b, w1 in m1.items():
         for c, w2 in m2.items():
             cells[b | c].append(w1 * w2)
+        added = _compact(cells, added + len(m2))
     return DNumber._from_masks(m1.frame, {a: fsum(v) for a, v in cells.items()})
 
 
@@ -156,7 +190,9 @@ def _dempster(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
     if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"global conflict K = {k!r}; combination is undefined")
     denom = 1.0 - k
-    return DNumber._from_masks(m1.frame, {a: v / denom for a, v in masses.items()}), k
+    for a, v in masses.items():
+        masses[a] = v / denom
+    return DNumber._from_masks(m1.frame, masses), k
 
 
 def yager(m1: DNumber, m2: DNumber) -> DNumber:

@@ -452,11 +452,11 @@ def validate_f_points(points: Iterable[tuple[float, float, float]]) -> int:
 class FusionReport(Record):
     """A combined D number plus the diagnostics of the rule that produced it.
 
-    ``k_d`` is set on the DCR1 path; ``d_t_total`` (the unnormalized mass that
-    survived) and ``f_value`` are set on the DCR2 path; ``k``, the classical
-    global conflict, on every classical path but the disjunctive one.  The
-    conjunctive rule's ``result`` is a :class:`ConjunctiveResult`, which keeps
-    the mass on the empty set.
+    ``k_d``, the residual conflict, is set on the DCR paths; ``d_t_total``
+    (the unnormalized mass that survived) and ``f_value`` on the DCR2 path;
+    ``k``, the classical global conflict, on every path but the disjunctive
+    one.  The conjunctive rule's ``result`` is a :class:`ConjunctiveResult`,
+    which keeps the mass on the empty set.
     """
 
     result: DNumber | ConjunctiveResult
@@ -498,16 +498,16 @@ def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
             "dcr1 requires complete D numbers "
             f"(Q values {d1.q_value!r} and {d2.q_value!r}); use dcr2 instead"
         )
-    masses, k_d, _ = _products(d1, d2, model._degrees_from)
+    masses, k_d, k = _products(d1, d2, model._degrees_from)
     # Normalize by the surviving mass itself; algebraically 1 - K_D, but free
     # of the cancellation that 1 - K_D suffers when K_D is close to 1.
     retained = fsum(masses.values())
     if k_d >= 1.0 - TOTAL_CONFLICT_TOLERANCE or retained <= TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"discounted conflict K_D = {k_d!r}; combination is undefined")
-    result = DNumber._from_masks(d1.frame, {a: v / retained for a, v in masses.items()})
-    return FusionReport(
-        result=result, rule="dcr1", q1=d1.q_value, q2=d2.q_value, k_d=k_d
-    )
+    for a, v in masses.items():
+        masses[a] = v / retained
+    result = DNumber._from_masks(d1.frame, masses)
+    return FusionReport(result, "dcr1", d1.q_value, d2.q_value, k_d, k=k)
 
 
 def dcr2(
@@ -523,7 +523,7 @@ def dcr2(
     this coincides with dcr1.  Raises TotalConflict when no mass survives.
     """
     _require_common_frame(d1, d2, model)
-    masses, _, _ = _products(d1, d2, model._degrees_from)
+    masses, k_d, k = _products(d1, d2, model._degrees_from)
     total = fsum(masses.values())
     q1, q2 = d1.q_value, d2.q_value
     # Relative to Q1*Q2, the mass the products started with, multiplied first so both orders agree.
@@ -532,17 +532,10 @@ def dcr2(
             f"no mass survives the combination (sum of D_t = {total!r})"
         )
     f_value = f(q1, q2)
-    result = DNumber._from_masks(
-        d1.frame, {a: f_value * (v / total) for a, v in masses.items()}
-    )
-    return FusionReport(
-        result=result,
-        rule="dcr2",
-        q1=q1,
-        q2=q2,
-        d_t_total=total,
-        f_value=f_value,
-    )
+    for a, v in masses.items():
+        masses[a] = f_value * (v / total)
+    result = DNumber._from_masks(d1.frame, masses)
+    return FusionReport(result, "dcr2", q1, q2, k_d, total, f_value, k)
 
 
 def mean_assignment(ds: Sequence[DNumber]) -> DNumber:

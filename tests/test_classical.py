@@ -1,4 +1,6 @@
-from math import fsum
+import random
+from fractions import Fraction
+from math import fsum, ldexp
 
 import pytest
 
@@ -12,6 +14,7 @@ from dnumbers import (
     global_conflict,
     yager,
 )
+from dnumbers import classical
 from dnumbers.errors import FrameMismatch, IncompleteInput, TotalConflict
 from helpers import brute_conflict
 
@@ -177,3 +180,51 @@ class TestGlobalConflict:
             global_conflict(
                 DNumber.vacuous(Frame(["a"])), DNumber.vacuous(Frame(["b"]))
             )
+
+
+def exact_sum(values) -> Fraction:
+    """The exact rational sum of floats: each float is n / 2^k with k <= 1074,
+    so over the common denominator 2^1074 the sum is a sum of integers."""
+    ratios = map(float.as_integer_ratio, values)
+    return Fraction(sum(n << 1075 - d.bit_length() for n, d in ratios), 1 << 1074)
+
+
+def spread_floats(rng: random.Random, count: int) -> list[float]:
+    """Signed floats over 35 decades, about 1e-26 to 5e9, with about one in
+    fifty a subnormal."""
+    values = [(rng.random() - 0.5) * 10.0 ** (35.0 * rng.random() - 25.0) for _ in range(count)]
+    for i in rng.sample(range(count), count // 50):
+        values[i] = ldexp(rng.random() - 0.5, rng.randint(-1073, -1022))
+    return values
+
+
+class TestSqueeze:
+    """``_squeeze`` replaces a list by a short expansion with the same exact
+    sum, so the kernel's final ``fsum`` is unchanged bit for bit."""
+
+    def test_exact_against_a_fraction_oracle(self):
+        rng = random.Random(1997)
+        longest = 0
+        for _ in range(2000):
+            v = spread_floats(rng, rng.randint(0, 3000))
+            tail = spread_floats(rng, rng.randint(0, 5))
+            partials = classical._squeeze(list(v))
+            assert exact_sum(partials) == exact_sum(v)
+            assert fsum(partials + tail).hex() == fsum(v + tail).hex()
+            longest = max(longest, len(partials))
+        assert longest <= 40
+
+    def test_the_widest_expansion_fits_in_40_partials(self):
+        # Powers of two 54 bits apart over the whole exponent range: no two of
+        # them share a float, so each needs a partial of its own.
+        v = [ldexp(1.0, e) for e in range(1000, -1075, -54)]
+        partials = classical._squeeze(list(v))
+        assert exact_sum(partials) == exact_sum(v)
+        assert len(partials) == len(v) == 39
+
+    def test_short_and_cancelling_lists(self):
+        assert classical._squeeze([]) == []
+        assert classical._squeeze([1e-300, 1.0, -1.0, -1e-300]) == []
+        assert classical._squeeze([0.5, 0.25]) == [0.75]
+        # 10 * 0.1 is 1 + 2^-54 exactly, which fsum rounds to 1.0.
+        assert classical._squeeze([0.1] * 10) == [1.0, 2.0**-54]

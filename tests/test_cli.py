@@ -217,6 +217,16 @@ def test_combine_matches_all_rule_golden(capsys, key):
     assert {"exit": code, "stdout": out} == COMBINE_GOLDEN[key]
 
 
+def test_combine_goldens_hold_under_forced_compaction(capsys, monkeypatch):
+    # Both squeeze thresholds at 0: the kernel squeezes after every outer row.
+    monkeypatch.setattr(classical, "_SQUEEZE_CONFLICT", 0)
+    monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
+    assert len(COMBINE_CASES) == 120
+    for key, argv in COMBINE_CASES.items():
+        code, out, _ = run(capsys, *argv)
+        assert {"exit": code, "stdout": out} == COMBINE_GOLDEN[key], key
+
+
 class TestMeasures:
     def test_bel_defaults_to_first_source_focal_sets(self, capsys):
         code, out, _ = run(capsys, "bel", FUSION)

@@ -37,6 +37,7 @@ from dnumbers.errors import (
     ForeignSubset,
     FrameMismatch,
     FrameTooLargeForMatrix,
+    FusionError,
     IncompleteInput,
     IntersectingPair,
     InvalidAggregator,
@@ -420,7 +421,8 @@ class TestDcr2:
         assert abs(report.result.weight(("c",)) - 0.0929) < 5e-5
         assert abs(report.result.weight(("a", "b", "c")) - 0.0077) < 5e-5
         assert report.result.focal_sets() == (0b001, 0b100, 0b111)
-        assert report.k_d is None
+        assert report.k_d == residual_conflict(d1, d2, overlap_model)
+        assert report.k == brute_conflict(dict(d1.items()), dict(d2.items()))
 
     def test_single_cell_hand_oracle(self, abc):
         # lone focal pair ({a},{a}): D_t = 0.25, f = 0.25, so D({a}) = 0.25
@@ -750,6 +752,79 @@ class TestClassicalSteps:
         assert RULES["disjunctive"](d, d, NonExclusivityModel(abc), PRODUCT).k is None
 
 
+def spread_dnumber(rng: random.Random, frame: Frame, max_focal: int) -> DNumber:
+    """Up to ``max_focal`` focal sets whose weights span 12 decades; complete
+    about half of the time."""
+    masks = rng.sample(range(1, frame.full_mask + 1), rng.randint(1, min(max_focal, frame.full_mask)))
+    weights = [10.0 ** rng.uniform(-12.0, 0.0) for _ in masks]
+    scale = (1.0 if rng.random() < 0.5 else rng.uniform(0.1, 1.0)) / fsum(weights)
+    return DNumber(frame, {m: w * scale for m, w in zip(masks, weights)})
+
+
+class TestForcedCompaction:
+    """With both squeeze thresholds at their minimum, the kernel squeezes its
+    lists after every outer row; every step, K and K_D keep their ``repr``."""
+
+    @staticmethod
+    def outcomes(d1, d2, model) -> list[str]:
+        seen = [repr(global_conflict(d1, d2)), repr(residual_conflict(d1, d2, model))]
+        for name, step in RULES.items():
+            try:
+                seen.append(repr(step(d1, d2, model, MINIMUM)))
+            except FusionError as exc:
+                seen.append(f"{name}: {exc!r}")
+        return seen
+
+    @staticmethod
+    def force(monkeypatch) -> list[int]:
+        """Set both thresholds to 0; the lengths of the lists squeezed from then on."""
+        squeezed = []
+        squeeze = classical._squeeze
+
+        def counted(v):
+            squeezed.append(len(v))
+            return squeeze(v)
+
+        monkeypatch.setattr(classical, "_squeeze", counted)
+        monkeypatch.setattr(classical, "_SQUEEZE_CONFLICT", 0)
+        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
+        return squeezed
+
+    def test_seeded_pairs_keep_their_repr(self, monkeypatch):
+        rng = random.Random(1313)
+        cases = []
+        for size in range(1, 13):
+            frame = Frame([f"e{i}" for i in range(size)])
+            for _ in range(3):
+                d1, d2 = spread_dnumber(rng, frame, 80), spread_dnumber(rng, frame, 80)
+                cases.append((d1, d2, random_model(rng, frame)))
+        expected = [self.outcomes(*case) for case in cases]
+        squeezed = self.force(monkeypatch)
+        assert [self.outcomes(*case) for case in cases] == expected
+        assert max(squeezed) > 8
+
+    def test_golden_inputs_keep_their_repr(self, monkeypatch):
+        cases = [case[1:] for case in TestClassicalSteps.golden_inputs()]
+        expected = [self.outcomes(*case) for case in cases]
+        squeezed = self.force(monkeypatch)
+        assert [self.outcomes(*case) for case in cases] == expected
+        assert squeezed
+
+    def test_cells_are_squeezed_without_disjoint_pairs(self, monkeypatch):
+        # Every focal set holds e0, so no pair is disjoint and every squeeze
+        # is a compaction of the cells.
+        rng = random.Random(17)
+        frame = Frame([f"e{i}" for i in range(4)])
+        d1, d2 = (
+            DNumber(frame, {m: 10.0 ** rng.uniform(-12.0, -1.0) for m in range(1, 16, 2)})
+            for _ in range(2)
+        )
+        expected = repr(classical._products(d1, d2, classical._exclusive))
+        squeezed = self.force(monkeypatch)
+        assert repr(classical._products(d1, d2, classical._exclusive)) == expected
+        assert squeezed and min(squeezed) > 8
+
+
 class TestCombineMany:
     def test_vacuous_fold_is_neutral(self, abc):
         model = NonExclusivityModel.exclusive(abc)
@@ -820,8 +895,8 @@ class TestCombineMany:
             "dempster": (dempster(d1, d2), k),
             "yager": (yager(d1, d2), k),
             "dubois-prade": (dubois_prade(d1, d2), k),
-            "dcr1": (dcr1(d1, d2, overlap_model).result, None),
-            "dcr2": (dcr2(d1, d2, overlap_model, MINIMUM).result, None),
+            "dcr1": (dcr1(d1, d2, overlap_model).result, k),
+            "dcr2": (dcr2(d1, d2, overlap_model, MINIMUM).result, k),
         }
         assert list(RULES) == list(expected)
         for name, (result, k_value) in expected.items():
@@ -829,9 +904,9 @@ class TestCombineMany:
             assert report.rule == name
             assert report.result == result, name
             assert report.k == k_value, name
-        assert combine_many([d1, d2], overlap_model, rule="dcr1").k_d == dcr1(
-            d1, d2, overlap_model
-        ).k_d
+        k_d = residual_conflict(d1, d2, overlap_model)
+        for name in ("dcr1", "dcr2"):
+            assert combine_many([d1, d2], overlap_model, rule=name).k_d == k_d, name
 
     def test_average_iterate_of_a_classical_rule(self, abc, overlap_model):
         rng = random.Random(12)
