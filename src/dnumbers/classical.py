@@ -36,24 +36,24 @@ MAX_FOCAL_PAIRS = 1 << 20
 _SQUEEZE_CONFLICT, _SQUEEZE_CELLS = 1 << 10, 1 << 17
 
 
-def _squeeze(v: list[float]) -> list[float]:
-    """At most about 40 floats with the exact sum of ``v``, which it extends:
+def _squeeze(v: list[float]) -> None:
+    """Shrink ``v``, in place, to at most about 40 floats with its exact sum:
     ``fsum`` is correctly rounded, so ``v + [-fsum(v)]`` sums exactly to the
     remainder, 2^53 times smaller (Shewchuk 1997)."""
     kept = []
     while s := fsum(v):
         kept.append(s)
         v.append(-s)
-    return kept
+    v[:] = kept
 
 
 def _compact(cells: dict[int, list[float]], added: int) -> int:
-    """Squeeze the long cell lists once ``added`` passes ``_SQUEEZE_CELLS``; the count left."""
+    """Squeeze cell lists of over 8 floats once ``added`` > ``_SQUEEZE_CELLS``; the count left."""
     if added <= _SQUEEZE_CELLS:
         return added
-    for a, v in cells.items():
+    for v in cells.values():
         if len(v) > 8:
-            cells[a] = _squeeze(v)
+            _squeeze(v)
     return 0
 
 
@@ -104,7 +104,8 @@ def _products(
                 if u < 1.0:
                     conflict.append((1.0 - u) * prod)
         if len(disjoint) > _SQUEEZE_CONFLICT:
-            disjoint, conflict = _squeeze(disjoint), _squeeze(conflict)
+            _squeeze(disjoint)
+            _squeeze(conflict)
         added = _compact(cells, added + len(m2))
     for a, v in cells.items():
         cells[a] = fsum(v)
@@ -116,7 +117,6 @@ def _constant_rows(u: float) -> Callable[[int], Callable[[int], float]]:
     """Rows that give every disjoint pair the degree ``u``."""
     def degree(c: int) -> float:
         return u
-
     return lambda b: degree
 
 

@@ -107,7 +107,7 @@ def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
     dcr2 = args.rule == "dcr2"
     diag = {
         "q_values": [d.q_value for d in ds],
-        # dcr1 shows K_D alone and dcr2 neither conflict, as before they reported both.
+        # dcr1 shows only K_D and dcr2 neither, although both reports carry K and K_D.
         "k": None if args.rule in ("dcr1", "dcr2") else report.k,
         "k_d": report.k_d if args.rule == "dcr1" else None,
         "d_t_total": report.d_t_total,

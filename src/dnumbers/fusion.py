@@ -507,7 +507,7 @@ def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
     for a, v in masses.items():
         masses[a] = v / retained
     result = DNumber._from_masks(d1.frame, masses)
-    return FusionReport(result, "dcr1", d1.q_value, d2.q_value, k_d, k=k)
+    return FusionReport(result, "dcr1", d1.q_value, d2.q_value, k_d=k_d, k=k)
 
 
 def dcr2(
@@ -535,7 +535,7 @@ def dcr2(
     for a, v in masses.items():
         masses[a] = f_value * (v / total)
     result = DNumber._from_masks(d1.frame, masses)
-    return FusionReport(result, "dcr2", q1, q2, k_d, total, f_value, k)
+    return FusionReport(result, "dcr2", q1, q2, k_d=k_d, d_t_total=total, f_value=f_value, k=k)
 
 
 def mean_assignment(ds: Sequence[DNumber]) -> DNumber:

@@ -208,7 +208,8 @@ class TestSqueeze:
         for _ in range(2000):
             v = spread_floats(rng, rng.randint(0, 3000))
             tail = spread_floats(rng, rng.randint(0, 5))
-            partials = classical._squeeze(list(v))
+            partials = list(v)
+            classical._squeeze(partials)
             assert exact_sum(partials) == exact_sum(v)
             assert fsum(partials + tail).hex() == fsum(v + tail).hex()
             longest = max(longest, len(partials))
@@ -218,13 +219,21 @@ class TestSqueeze:
         # Powers of two 54 bits apart over the whole exponent range: no two of
         # them share a float, so each needs a partial of its own.
         v = [ldexp(1.0, e) for e in range(1000, -1075, -54)]
-        partials = classical._squeeze(list(v))
+        partials = list(v)
+        classical._squeeze(partials)
         assert exact_sum(partials) == exact_sum(v)
         assert len(partials) == len(v) == 39
 
-    def test_short_and_cancelling_lists(self):
-        assert classical._squeeze([]) == []
-        assert classical._squeeze([1e-300, 1.0, -1.0, -1e-300]) == []
-        assert classical._squeeze([0.5, 0.25]) == [0.75]
-        # 10 * 0.1 is 1 + 2^-54 exactly, which fsum rounds to 1.0.
-        assert classical._squeeze([0.1] * 10) == [1.0, 2.0**-54]
+    @pytest.mark.parametrize(
+        "v, partials",
+        [
+            ([], []),
+            ([1e-300, 1.0, -1.0, -1e-300], []),
+            ([0.5, 0.25], [0.75]),
+            # 10 * 0.1 is 1 + 2^-54 exactly, which fsum rounds to 1.0.
+            ([0.1] * 10, [1.0, 2.0**-54]),
+        ],
+    )
+    def test_short_and_cancelling_lists(self, v, partials):
+        classical._squeeze(v)
+        assert v == partials
