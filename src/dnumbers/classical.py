@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import fsum
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import FrameMismatch, IncompleteInput, TooManyFocalPairs, TotalConflict
-from .evidence import DNumber, Frame, Record, _canonical
+from .evidence import DNumber, Frame, Record, _canonical, bit_indices
 
 #: Surviving mass at or below this fraction of Q1*Q2 counts as none: dividing
 #: by it would amplify representation error past any useful tolerance.
@@ -47,12 +48,12 @@ def _squeeze(v: list[float]) -> None:
     v[:] = kept
 
 
-def _compact(cells: dict[int, list[float]], added: int) -> int:
+def _compact(cells: dict[int, float | list[float]], added: int) -> int:
     """Squeeze cell lists of over 8 floats once ``added`` > ``_SQUEEZE_CELLS``; the count left."""
     if added <= _SQUEEZE_CELLS:
         return added
     for v in cells.values():
-        if len(v) > 8:
+        if type(v) is list and len(v) > 8:
             _squeeze(v)
     return 0
 
@@ -67,60 +68,74 @@ def _check_pair_budget(m1: DNumber, m2: DNumber) -> None:
 
 
 def _products(
-    m1: DNumber, m2: DNumber, degrees_from: Callable[[int], Callable[[int], float]]
+    m1: DNumber, m2: DNumber, rows: float | Callable[[int], tuple[Sequence[float], Mapping[int, float]]]
 ) -> tuple[dict[int, float], float, float]:
     """Product masses per target subset, in no particular order, plus the
     discounted conflict and the classical global conflict K.
 
     Each product m1(B)*m2(C) lands on B&C when the pair intersects; a disjoint
     pair adds its product to K and credits degree*product to B|C and
-    (1-degree)*product to the discounted conflict, where ``degrees_from(B)``
-    is B's row: a function from each C disjoint from B to their degree.  A row
-    is asked for at B's first disjoint partner, so sources that rarely
-    conflict build few rows.  Cells and both conflicts are fsum-reduced,
-    making the outcome independent of operand order.  Lists are squeezed
-    after each outer row (:func:`_compact`), so the bounds hold up to one row's
-    products; the cells are reduced in the dict that held them.
+    (1-degree)*product to the discounted conflict.  ``rows`` is either one
+    degree for every disjoint pair, or a model's ``_degrees_from``: B's reach
+    and overrides, asked for at B's first disjoint partner, so sources that
+    rarely conflict build few rows.  The degree of C is then its override, or
+    the largest reach over C's elements, read by one ``itemgetter`` per column
+    built once per call.  A cell holds its first product as a bare float and
+    becomes a list at its second (products are never -0.0, so the float is
+    its own ``fsum``).  Cell lists and both conflicts are fsum-reduced, making
+    the outcome independent of operand order.  Lists are squeezed after each
+    outer row (:func:`_compact`), so the bounds hold up to one row's products;
+    the cells are reduced in the dict that held them.
     """
     _check_pair_budget(m1, m2)
-    cells: defaultdict = defaultdict(list)
+    cells: dict = {}
+    put = cells.setdefault
     conflict: list[float] = []
     disjoint: list[float] = []
+    constant = not callable(rows)
+    # A getter lists C's lowest element twice, so it returns a tuple for any C.
+    columns = [
+        (c, w2, None if constant else itemgetter(*bit_indices(c), (c & -c).bit_length() - 1))
+        for c, w2 in m2.items()
+    ]
     added = 0
     for b, w1 in m1.items():
-        degree = None
-        for c, w2 in m2.items():
+        over = None
+        for c, w2, getter in columns:
             prod = w1 * w2
-            inter = b & c
-            if inter:
-                cells[inter].append(prod)
-            else:
+            cell = b & c
+            if not cell:
                 disjoint.append(prod)
-                if degree is None:
-                    degree = degrees_from(b)
-                u = degree(c)
-                if u > 0.0:
-                    cells[b | c].append(u * prod)
+                if getter is None:
+                    u = rows
+                else:
+                    if over is None:
+                        reach, over = rows(b)
+                    u = over[c] if c in over else max(getter(reach))
                 if u < 1.0:
                     conflict.append((1.0 - u) * prod)
+                if u <= 0.0:
+                    continue
+                cell, prod = b | c, u * prod
+            # A fresh product is never the object already in the cell.
+            old = put(cell, prod)
+            if old is not prod:
+                if type(old) is list:
+                    old.append(prod)
+                else:
+                    cells[cell] = [old, prod]
         if len(disjoint) > _SQUEEZE_CONFLICT:
             _squeeze(disjoint)
             _squeeze(conflict)
-        added = _compact(cells, added + len(m2))
+        added = _compact(cells, added + len(columns))
     for a, v in cells.items():
-        cells[a] = fsum(v)
-    cells.default_factory = None
+        if type(v) is list:
+            cells[a] = fsum(v)
     return cells, fsum(conflict), fsum(disjoint)
 
 
-def _constant_rows(u: float) -> Callable[[int], Callable[[int], float]]:
-    """Rows that give every disjoint pair the degree ``u``."""
-    def degree(c: int) -> float:
-        return u
-    return lambda b: degree
-
-
-_exclusive, _overlapping = _constant_rows(0.0), _constant_rows(1.0)
+#: The constant degrees of the classical rules.
+_exclusive, _overlapping = 0.0, 1.0
 
 
 class ConjunctiveResult(Record):

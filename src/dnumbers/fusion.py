@@ -71,21 +71,6 @@ def _check_degree(value: float) -> float:
 _NO_OVERRIDES: Mapping[int, float] = MappingProxyType({})
 
 
-def _max_at(reach: Sequence[float], c: int) -> float:
-    """The largest ``reach[j]`` over the elements j of mask ``c``.
-
-    0.0, never a listed -0.0, when no such entry is positive.
-    """
-    best = 0.0
-    while c:
-        low = c & -c
-        d = reach[low.bit_length() - 1]
-        if d > best:
-            best = d
-        c ^= low
-    return best
-
-
 class NonExclusivityModel:
     """Pairwise non-exclusive degrees over a frame.
 
@@ -183,25 +168,24 @@ class NonExclusivityModel:
             return over[m2]
         # The rule of _degrees_from for a single lookup: it reads B's
         # single-element rows rather than merge them into B's reach, so it
-        # costs O(|B| |C|) instead of O(|B| n + |C|).
-        return max([_max_at(self._elem[i], m2) for i in bit_indices(m1)])
+        # costs O(|B| |C|) instead of O(|B| n + |C|).  The table holds no
+        # -0.0, so an all-zero maximum reads 0.0.
+        elem, columns = self._elem, bit_indices(m2)
+        return max([elem[i][j] for i in bit_indices(m1) for j in columns])
 
-    def _degrees_from(self, b: int) -> Callable[[int], float]:
-        """B's row: a function from each subset C disjoint from B to their degree.
+    def _degrees_from(self, b: int) -> tuple[Sequence[float], Mapping[int, float]]:
+        """B's row as data: B's reach and B's overrides.
 
-        The override for the pair wins; otherwise the degree is the largest
-        entry of B's reach over the elements of C, where ``reach[j]`` is the
-        largest pair degree between element j and an element of B.  Building
-        the row costs O(|B| n); each lookup in it then costs O(|C|).
+        ``reach[j]`` is the largest pair degree between element j and an
+        element of B.  The degree of a subset C disjoint from B is its override
+        if listed, else the largest ``reach[j]`` over the elements j of C;
+        ``classical._products`` reads it with one ``itemgetter`` per C.  The
+        reach holds no -0.0, so an all-zero maximum reads 0.0.  Building the
+        row costs O(|B| n); each lookup in it then costs O(|C|).
         """
         rows = [self._elem[i] for i in bit_indices(b)]
         reach = rows[0] if len(rows) == 1 else tuple(map(max, *rows))
-        over = self._by_subset.get(b, _NO_OVERRIDES)
-
-        def degree(c: int) -> float:
-            return over[c] if c in over else _max_at(reach, c)
-
-        return degree
+        return reach, self._by_subset.get(b, _NO_OVERRIDES)
 
     def matrix(self) -> "DegreeMatrix":
         """The full non-exclusive degree matrix over all non-empty subsets.

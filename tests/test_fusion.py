@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import fsum
 from pathlib import Path
 
@@ -49,8 +50,10 @@ from dnumbers.errors import (
 )
 from dnumbers import classical
 from dnumbers.classical import MAX_FOCAL_PAIRS
+from dnumbers.evidence import bit_indices
 from helpers import (
     brute_conflict,
+    brute_dempster,
     brute_degree,
     brute_residual,
     random_complete,
@@ -603,10 +606,13 @@ class TestLazyDegrees:
             self.assert_same(model.degree(b, c), expected)
             self.assert_same(model.degree(c, b), expected)
         for b in m1:
-            row = model._degrees_from(b)
+            # A row is B's reach and overrides: the override wins, else the
+            # largest reach over the elements of C.
+            reach, over = model._degrees_from(b)
             for c in m2:
                 if not b & c:
-                    self.assert_same(row(c), brute_degree(pairs, overrides, b, c))
+                    row = over[c] if c in over else max(reach[j] for j in bit_indices(c))
+                    self.assert_same(row, brute_degree(pairs, overrides, b, c))
 
     def test_listed_zeros_read_back_as_positive_zero(self, abc):
         model = NonExclusivityModel(
@@ -823,6 +829,87 @@ class TestForcedCompaction:
         squeezed = self.force(monkeypatch)
         assert repr(classical._products(d1, d2, classical._exclusive)) == expected
         assert squeezed and min(squeezed) > 8
+
+
+class TestBareFloatCells:
+    """A cell holds its first product as a bare float and becomes a list at its
+    second.  Weights and degrees are powers of two here, so every product is
+    exact in any order and the oracles agree with the kernel bit for bit."""
+
+    A, B, C, D = 1, 2, 4, 8
+
+    @staticmethod
+    def sorted_repr(masses) -> str:
+        return repr(sorted(masses.items()))
+
+    def kernel(self, m1, m2, pairs=None, overrides=None) -> dict[int, float]:
+        """The kernel's cells, checked against ``brute_residual``,
+        ``brute_conflict`` and ``brute_dempster`` over the frame a, b, c, d."""
+        pairs, overrides = pairs or {}, overrides or {}
+        frame = Frame(list("abcd"))
+        model = NonExclusivityModel(
+            frame, {("abcd"[i], "abcd"[j]): d for (i, j), d in pairs.items()}, overrides
+        )
+        d1, d2 = DNumber(frame, m1), DNumber(frame, m2)
+        cells, k_d = brute_residual(m1, m2, pairs, overrides)
+        masses, kd, k = classical._products(d1, d2, model._degrees_from)
+        assert self.sorted_repr({a: v for a, v in masses.items() if v}) == self.sorted_repr(cells)
+        assert repr((kd, k)) == repr((k_d, brute_conflict(m1, m2)))
+        assert dcr2(d1, d2, model).result.masses.keys() == cells.keys()
+        assert self.sorted_repr(dempster(d1, d2).masses) == self.sorted_repr(brute_dempster(m1, m2))
+        return masses
+
+    def test_a_lone_product_that_underflows_is_dropped(self):
+        A, B, C, D = self.A, self.B, self.C, self.D
+        # {a} gets only 2^-600 * 2^-600, which is 0.0; so does {a, d} under
+        # the degree 2^-600 of a and d.  {b} gets two products.
+        m1 = {A: 2.0**-600, B: 0.5, C | D: 0.5}
+        m2 = {A: 2.0**-600, B | C: 0.25, B: 0.25, D: 0.5}
+        masses = self.kernel(m1, m2, {(0, 3): 2.0**-600})
+        assert repr(masses[A]) == repr(masses[A | D]) == "0.0"
+        assert A not in brute_dempster(m1, m2)
+
+    def test_lone_subnormal_products_keep_their_value(self):
+        A, B, C, D = self.A, self.B, self.C, self.D
+        m1 = {A: 2.0**-530, B: 0.5, C | D: 0.5}
+        m2 = {A: 2.0**-530, B | C: 0.25, B: 0.25, D: 0.5}
+        masses = self.kernel(m1, m2, {(0, 3): 2.0**-540})
+        assert masses[A] == 2.0**-1060
+        assert masses[A | D] == masses[A | C | D] == 2.0**-1071
+
+    def test_lists_from_a_second_product_on_survive_forced_squeezes(self, monkeypatch):
+        # Cell {a, b, c} gets one product, three cells get two, and the
+        # single-element cells 24 to 26, which are squeezed after every row.
+        rng = random.Random(14)
+        frame = Frame(list("abcd"))
+        weights = [
+            {m: 10.0 ** rng.uniform(-12.0, 0.0) for m in range(1, 16) if m != skip}
+            for skip in (7, 15)
+        ]
+        m1, m2 = ({m: w / fsum(ws.values()) for m, w in ws.items()} for ws in weights)
+        counts = Counter(b & c for b in m1 for c in m2 if b & c)
+        assert counts[7] == 1 and counts[11] == counts[13] == counts[14] == 2
+        d1, d2 = DNumber(frame, m1), DNumber(frame, m2)
+        expected = self.sorted_repr(brute_dempster(dict(d1.items()), dict(d2.items())))
+        assert self.sorted_repr(dempster(d1, d2).masses) == expected
+        squeezed = TestForcedCompaction.force(monkeypatch)
+        assert self.sorted_repr(dempster(d1, d2).masses) == expected
+        assert max(squeezed) > 8
+
+    def test_degree_overrides_of_minus_zero_and_one(self):
+        A, B, C, D = self.A, self.B, self.C, self.D
+        m1, m2 = {A: 0.5, B: 0.25, C | D: 0.125, C: 0.125}, {C: 0.5, D: 0.5}
+        overrides = {(A, C): -0.0, (B, C): -0.0, (A, D): 1.0, (B, D): 1.0}
+        masses = self.kernel(m1, m2, {(0, 2): 0.5, (1, 3): 0.5}, overrides)
+        # -0.0 makes no union cell, and 1.0 no conflict.
+        assert sorted(masses) == sorted([C, D, A | D, B | D])
+        every_one = {key: 1.0 for key in overrides}
+        masses = self.kernel(m1, m2, {}, every_one)
+        assert sorted(masses) == sorted([C, D, A | C, B | C, A | D, B | D])
+        frame = Frame(list("abcd"))
+        d1, d2 = DNumber(frame, m1), DNumber(frame, m2)
+        # Only {c} against {d}, of degree 0, is left in conflict.
+        assert repr(residual_conflict(d1, d2, NonExclusivityModel(frame, None, every_one))) == "0.0625"
 
 
 class TestCombineMany:
