@@ -117,13 +117,11 @@ def _products(
                 if u <= 0.0:
                     continue
                 cell, prod = b | c, u * prod
-            # A fresh product is never the object already in the cell.
             old = put(cell, prod)
-            if old is not prod:
-                if type(old) is list:
-                    old.append(prod)
-                else:
-                    cells[cell] = [old, prod]
+            if type(old) is list:
+                old.append(prod)
+            elif old is not prod:  # a fresh product is never the float already there
+                cells[cell] = [old, prod]
         if len(disjoint) > _SQUEEZE_CONFLICT:
             _squeeze(disjoint)
             _squeeze(conflict)
