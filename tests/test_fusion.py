@@ -611,8 +611,8 @@ class TestLazyDegrees:
             reach, over = model._degrees_from(b)
             for c in m2:
                 if not b & c:
-                    row = over[c] if c in over else max(reach[j] for j in bit_indices(c))
-                    self.assert_same(row, brute_degree(pairs, overrides, b, c))
+                    degree = over[c] if c in over else max(reach[j] for j in bit_indices(c))
+                    self.assert_same(degree, brute_degree(pairs, overrides, b, c))
 
     def test_listed_zeros_read_back_as_positive_zero(self, abc):
         model = NonExclusivityModel(
