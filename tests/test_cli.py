@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dnumbers import AGGREGATORS, classical, cli, fusion, parse_scenario
+from dnumbers import AGGREGATORS, Frame, classical, cli, fusion, parse_scenario
 from dnumbers.cli import build_parser, run_cli
 from dnumbers.fusion import RULES, STRATEGIES
 from dnumbers.scenario import MAX_SCENARIO_BYTES
@@ -227,6 +227,55 @@ def test_combine_goldens_hold_under_forced_compaction(capsys, monkeypatch):
         assert {"exit": code, "stdout": out} == COMBINE_GOLDEN[key], key
 
 
+#: Every command but combine, as written in the transcript's keys; a ``.txt``
+#: argument names an aggregator table in ``tests/fixtures/ftables``.
+TRANSCRIPT_COMMANDS = (
+    ("qvalue",),
+    ("validate",),
+    ("validate", "--f-table", "product_11.txt"),
+    ("validate", "--f-table", "bad_syntax.txt"),
+    ("validate", "--f-table", "bad_range.txt"),
+    ("bel",),
+    ("pl",),
+    ("bel", "--subset", ","),
+    ("conflict",),
+    ("matrix", "expand"),
+    ("matrix", "exclusive"),
+)
+
+
+def transcript_cases():
+    """Each command of TRANSCRIPT_COMMANDS in both formats on every shipped,
+    fixture and bad scenario but the 12-element matrix one; keyed as written
+    in the transcript."""
+    paths = (
+        sorted(SCENARIOS.glob("*.scn"))
+        + sorted(p for p in FIXTURES.glob("*.scn") if p.name != "matrix_cap12.scn")
+        + sorted(BAD.glob("*.scn"))
+    )
+    for path in paths:
+        for command in TRANSCRIPT_COMMANDS:
+            args = [str(FTABLES / a) if a.endswith(".txt") else a for a in command]
+            for output in ("human", "machine"):
+                key = " ".join((path.relative_to(REPO).as_posix(), *command, output))
+                yield key, [*args, "--output", output, str(path)]
+
+
+TRANSCRIPT_CASES = dict(transcript_cases())
+TRANSCRIPT = json.loads((GOLDEN / "cli_transcript.json").read_text())
+
+
+def test_transcript_covers_every_case():
+    assert len(TRANSCRIPT_CASES) == 572
+    assert sorted(TRANSCRIPT) == sorted(TRANSCRIPT_CASES)
+
+
+@pytest.mark.parametrize("key", TRANSCRIPT_CASES)
+def test_cli_matches_transcript(capsys, key):
+    code, out, err = run(capsys, *TRANSCRIPT_CASES[key])
+    assert {"exit": code, "stdout": out, "stderr": err} == TRANSCRIPT[key]
+
+
 class TestMeasures:
     def test_bel_defaults_to_first_source_focal_sets(self, capsys):
         code, out, _ = run(capsys, "bel", FUSION)
@@ -253,6 +302,15 @@ class TestMeasures:
     def test_unknown_source(self, capsys):
         code, _, err = run(capsys, "bel", FUSION, "--source", "D9")
         assert code == 2
+
+    def test_subset_flag_naming_no_labels(self, capsys):
+        with pytest.raises(cli._Abort) as excinfo:
+            cli._parse_subset_flag(Frame(["a", "b", "c"]), ",")
+        assert type(excinfo.value) is cli._Abort
+        assert str(excinfo.value) == "--subset ',' names no labels"
+        assert run(capsys, "bel", FUSION, "--subset", ",") == (
+            2, "", "error[abort]: --subset ',' names no labels\n"
+        )
 
     def test_unknown_subset_label(self, capsys):
         code, _, err = run(capsys, "bel", FUSION, "--subset", "zz")

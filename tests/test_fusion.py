@@ -1029,3 +1029,7 @@ class TestMeanAssignment:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             mean_assignment([])
+
+    def test_frame_mismatch(self, abc):
+        with pytest.raises(FrameMismatch):
+            mean_assignment([DNumber.vacuous(abc), DNumber.vacuous(Frame(["x", "y"]))])

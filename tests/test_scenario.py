@@ -109,6 +109,48 @@ class TestParseErrors:
             parse_scenario(b"frame: a\ndnumber D:\n  {a, zz}: 0.5\n")
         assert excinfo.value.column == 7
 
+    @pytest.mark.parametrize(
+        "text, error, message, line, column",
+        [
+            (
+                "frame: a, b\noverrides:\n  {a} ~ {b}: 0.1\noverrides:\n",
+                ScenarioSyntaxError,
+                "the overrides section is already declared",
+                4,
+                1,
+            ),
+            ("frame: a, b\ndnumber D:\n  {a,,b}: 0.5\n", ScenarioSyntaxError, "empty label", 3, 6),
+            (
+                "frame: a, b\ndnumber D:\n  {a b}: 0.5\n",
+                ScenarioSyntaxError,
+                "invalid label 'a b'",
+                3,
+                4,
+            ),
+            (
+                "frame: a, b\nnonexclusivity:\n  a - b: 0.1\n",
+                ScenarioSyntaxError,
+                "expected '<label> ~ <label>: <degree>'",
+                3,
+                3,
+            ),
+            (
+                "frame: a, b\noverrides:\n  {a} - {b}: 0.1\n",
+                ScenarioSyntaxError,
+                "expected '{<labels>} ~ {<labels>}: <degree>'",
+                3,
+                3,
+            ),
+        ],
+        ids=["second-overrides-header", "empty-label", "invalid-label", "bad-pair", "bad-override"],
+    )
+    def test_located_inline_errors(self, text, error, message, line, column):
+        with pytest.raises(error) as excinfo:
+            parse_scenario(text)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == f"line {line}, column {column}: {message}"
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
     def test_invalid_utf8(self):
         with pytest.raises(ScenarioSyntaxError, match="^scenario is not valid UTF-8"):
             parse_scenario(b"frame: \xff\xfe\n")
@@ -215,6 +257,13 @@ class TestFTable:
     def test_q_out_of_range(self):
         with pytest.raises(OutOfRangeValue):
             parse_f_table((FTABLES / "bad_range.txt").read_bytes())
+
+    def test_non_number_field(self):
+        with pytest.raises(ScenarioSyntaxError) as excinfo:
+            parse_f_table("1 x 1\n")
+        assert type(excinfo.value) is ScenarioSyntaxError
+        assert str(excinfo.value) == "line 1, column 3: expected a number, got 'x'"
+        assert (excinfo.value.line, excinfo.value.column) == (1, 3)
 
     def test_comments_and_blanks_ignored(self):
         points = parse_f_table("# hi\n\n1 1 1\n")
