@@ -153,9 +153,15 @@ class ConjunctiveResult(Record):
         return self.masses.get(0, 0.0)
 
 
-def _require_combinable(m1: DNumber, m2: DNumber) -> None:
-    if m1.frame != m2.frame:
+def _one_frame(first, *others) -> Frame:
+    """The frame of ``first``, which the other D numbers or models must share."""
+    if any(other.frame != first.frame for other in others):
         raise FrameMismatch("operands are defined over different frames")
+    return first.frame
+
+
+def _require_combinable(m1: DNumber, m2: DNumber) -> None:
+    _one_frame(m1, m2)
     if not (m1.is_complete() and m2.is_complete()):
         raise IncompleteInput(
             "classical rules require complete assignments "
@@ -240,6 +246,5 @@ def global_conflict(d1: DNumber, d2: DNumber) -> float:
     Purely diagnostic: unlike the rules above it accepts incomplete
     assignments, so it can report K for any pair of D numbers.
     """
-    if d1.frame != d2.frame:
-        raise FrameMismatch("operands are defined over different frames")
+    _one_frame(d1, d2)
     return _products(d1, d2, _exclusive)[2]

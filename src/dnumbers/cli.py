@@ -79,6 +79,16 @@ def _pick_sources(doc: ScenarioDocument, needed: int) -> list[str]:
     return names
 
 
+def _q_rows(dnumbers, prefix: str) -> tuple[list[str], list[dict]]:
+    """Each source's human line and machine entry: its Q value and completeness."""
+    lines, entries = [], []
+    for name, d in dnumbers.items():
+        status = "complete" if d.is_complete() else "incomplete"
+        lines.append(f"{prefix}{name}: Q = {fmt4(d.q_value)} ({status})")
+        entries.append({"name": name, "q_value": d.q_value, "complete": d.is_complete()})
+    return lines, entries
+
+
 def _parse_subset_flag(frame: Frame, text: str) -> int:
     labels = [part.strip() for part in text.split(",") if part.strip()]
     if not labels:
@@ -173,17 +183,8 @@ def _cmd_measure(args, doc: ScenarioDocument, raw: bytes) -> int:
 
 
 def _cmd_qvalue(args, doc: ScenarioDocument, raw: bytes) -> int:
-    names = _pick_sources(doc, 1)
-    scenario = doc.build()
-    lines = []
-    entries = []
-    for name in names:
-        d = scenario.dnumbers[name]
-        status = "complete" if d.is_complete() else "incomplete"
-        lines.append(f"{name}: Q = {fmt4(d.q_value)} ({status})")
-        entries.append(
-            {"name": name, "q_value": d.q_value, "complete": d.is_complete()}
-        )
+    _pick_sources(doc, 1)
+    lines, entries = _q_rows(doc.build().dnumbers, "")
     return _emit(args, "\n".join(lines) + "\n", {"dnumbers": entries})
 
 
@@ -252,19 +253,14 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> int:
 
 def _cmd_validate(args, doc: ScenarioDocument, raw: bytes) -> int:
     scenario = doc.build()
+    rows, entries = _q_rows(scenario.dnumbers, "dnumber ")
     lines = [
         "scenario: OK",
         f"frame: {scenario.frame.size} elements ({', '.join(scenario.frame.labels)})",
-    ]
-    entries = []
-    for name, d in scenario.dnumbers.items():
-        status = "complete" if d.is_complete() else "incomplete"
-        lines.append(f"dnumber {name}: Q = {fmt4(d.q_value)} ({status})")
-        entries.append({"name": name, "q_value": d.q_value, "complete": d.is_complete()})
-    lines.append(
+        *rows,
         f"model: {len(scenario.model.element_degrees)} element pairs, "
-        f"{len(scenario.model.subset_overrides)} overrides"
-    )
+        f"{len(scenario.model.subset_overrides)} overrides",
+    ]
     machine = {
         "valid": True,
         "frame": list(scenario.frame.labels),

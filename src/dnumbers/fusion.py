@@ -22,6 +22,7 @@ from .classical import (
     ConjunctiveResult,
     _dempster,
     _dubois_prade,
+    _one_frame,
     _products,
     _yager,
     conjunctive,
@@ -30,7 +31,6 @@ from .classical import (
 from .errors import (
     DuplicatePair,
     EmptySubset,
-    FrameMismatch,
     FrameTooLargeForMatrix,
     IncompleteInput,
     IntersectingPair,
@@ -223,6 +223,10 @@ class NonExclusivityModel:
             reach.append(bytes(map(max, reach[b ^ low], elem[low.bit_length() - 1])))
         subsets = tuple(self.frame.subsets())
         position = {m: k for k, m in enumerate(subsets)}
+        overrides = {
+            position[b]: {position[c]: d for c, d in over.items()}
+            for b, over in self._by_subset.items()
+        }
         positions, ranks = [], []
         for b in subsets:
             # The subsets C of B's complement and the ranks max over j in C of
@@ -235,7 +239,7 @@ class NonExclusivityModel:
             positions.append(tuple(map(position.__getitem__, masks[1:])))
             ranks.append(row[1:])
         return _RankedMatrix(
-            self.frame, subsets, tuple(positions), tuple(ranks), tuple(values), self._by_subset
+            self.frame, subsets, tuple(positions), tuple(ranks), tuple(values), overrides
         )
 
     def __repr__(self) -> str:
@@ -281,8 +285,8 @@ class _RankedMatrix(Record):
     column position in ``positions[k]`` and, in ``ranks[k]``, the rank of
     their degree in the sorted distinct degrees ``values``, one byte per
     cell.  Every other cell holds the top rank, ``len(values) - 1``, which is
-    degree 1.0.  ``overrides`` holds the model's overrides by subset, which
-    win over the ranked cells they cover.
+    degree 1.0.  ``overrides`` holds the model's overrides by row and column
+    position, ``overrides[k][l]``, which win over the ranked cells they cover.
     """
 
     frame: Frame
@@ -311,15 +315,14 @@ class _RankedMatrix(Record):
         """What the cells of the rows hold: the top rank and the ranks of the
         disjoint cells that no override covers, and the override of each cell
         that one covers."""
-        position = {m: k for k, m in enumerate(self.subsets)}
         top = len(self.values) - 1
         seen = bytes([top])
-        for b, positions, ranks in zip(self.subsets, self.positions, self.ranks):
-            over = self.overrides.get(b)
+        for k, (positions, ranks) in enumerate(zip(self.positions, self.ranks)):
+            over = self.overrides.get(k)
             if over:
                 ranks = bytearray(ranks)
-                for c in over:
-                    ranks[positions.index(position[c])] = top
+                for l in over:
+                    ranks[positions.index(l)] = top
             new = ranks.translate(None, seen)
             if new:
                 seen += bytes(set(new))
@@ -328,16 +331,15 @@ class _RankedMatrix(Record):
     def rows_as(self, table: Sequence, cell: Callable[[float], object]) -> Iterator[tuple]:
         """Each row, a rank r read as ``table[r]`` and an override d of the
         row as ``cell(d)``."""
-        position = {m: k for k, m in enumerate(self.subsets)}
         top = [table[len(self.values) - 1]] * len(self.subsets)
-        for b, positions, ranks in zip(self.subsets, self.positions, self.ranks):
+        for k, (positions, ranks) in enumerate(zip(self.positions, self.ranks)):
             row = top.copy()
-            for k, r in zip(positions, ranks):
-                row[k] = table[r]
-            over = self.overrides.get(b)
+            for l, r in zip(positions, ranks):
+                row[l] = table[r]
+            over = self.overrides.get(k)
             if over:
-                for c, d in over.items():
-                    row[position[c]] = cell(d)
+                for l, d in over.items():
+                    row[l] = cell(d)
             yield tuple(row)
 
 
@@ -453,11 +455,6 @@ class FusionReport(Record):
     k: float | None = None
 
 
-def _require_common_frame(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> None:
-    if not (d1.frame == d2.frame == model.frame):
-        raise FrameMismatch("D numbers and model must share one frame")
-
-
 def residual_conflict(
     d1: DNumber, d2: DNumber, model: NonExclusivityModel
 ) -> float:
@@ -466,7 +463,7 @@ def residual_conflict(
     Diagnostic: accepts incomplete inputs.  Never exceeds the classical global
     conflict and equals it under a fully exclusive model.
     """
-    _require_common_frame(d1, d2, model)
+    _one_frame(d1, d2, model)
     return _products(d1, d2, model._degrees_from)[1]
 
 
@@ -476,7 +473,7 @@ def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
     Requires both inputs complete.  Raises TotalConflict when the discounted
     conflict K_D reaches 1, in which case nothing is left to normalize.
     """
-    _require_common_frame(d1, d2, model)
+    _one_frame(d1, d2, model)
     if not (d1.is_complete() and d2.is_complete()):
         raise IncompleteInput(
             "dcr1 requires complete D numbers "
@@ -506,7 +503,7 @@ def dcr2(
     total mass is f(Q1, Q2).  With two complete inputs and any admissible f
     this coincides with dcr1.  Raises TotalConflict when no mass survives.
     """
-    _require_common_frame(d1, d2, model)
+    _one_frame(d1, d2, model)
     masses, k_d, k = _products(d1, d2, model._degrees_from)
     total = fsum(masses.values())
     q1, q2 = d1.q_value, d2.q_value
@@ -526,12 +523,8 @@ def mean_assignment(ds: Sequence[DNumber]) -> DNumber:
     """Pointwise arithmetic mean of several D numbers on one frame."""
     if not ds:
         raise ValueError("need at least one D number")
-    frame = ds[0].frame
-    if any(d.frame != frame for d in ds):
-        raise FrameMismatch("D numbers must share one frame")
-    focal: set[int] = set()
-    for d in ds:
-        focal.update(d.focal_sets())
+    frame = _one_frame(*ds)
+    focal = set().union(*(d.focal_sets() for d in ds))
     n = len(ds)
     return DNumber._from_masks(
         frame, {m: fsum(d.weight(m) for d in ds) / n for m in focal}
@@ -595,9 +588,7 @@ def combine_many(
         raise ValueError("need at least two D numbers to combine")
     if rule == "conjunctive" and len(ds) != 2:
         raise ValueError("the conjunctive rule combines exactly two sources")
-    frame = ds[0].frame
-    if any(d.frame != frame for d in ds) or model.frame != frame:
-        raise FrameMismatch("D numbers and model must share one frame")
+    _one_frame(*ds, model)
     if strategy == "fold":
         acc, others = ds[0], ds[1:]
     elif strategy == "average-iterate":

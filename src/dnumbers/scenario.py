@@ -54,8 +54,7 @@ MAX_SCENARIO_BYTES = 1 << 20
 _LABEL = r"[^\s{},:~#]+"
 _FRAME_LINE = re.compile(r"^\s*frame\s*:\s*(?P<body>.*?)\s*$")
 _DNUMBER_HEADER = re.compile(rf"^\s*dnumber\s+(?P<name>{_LABEL})\s*:\s*$")
-_PAIRS_HEADER = re.compile(r"^\s*nonexclusivity\s*:\s*$")
-_OVERRIDES_HEADER = re.compile(r"^\s*overrides\s*:\s*$")
+_SECTION_HEADER = re.compile(r"^\s*(?P<section>nonexclusivity|overrides)\s*:\s*$")
 _SUBSET_ENTRY = re.compile(r"^\s*\{(?P<labels>[^{}]*)\}\s*:\s*(?P<value>\S+)\s*$")
 _PAIR_ENTRY = re.compile(
     rf"^\s*(?P<l1>{_LABEL})\s*~\s*(?P<l2>{_LABEL})\s*:\s*(?P<value>\S+)\s*$"
@@ -133,19 +132,23 @@ class ScenarioDocument(Record):
         )
 
 
+def _number(text: str, line: int, col: int) -> float:
+    if not _NUMBER.match(text):
+        raise ScenarioSyntaxError(f"expected a number, got {text!r}", line, col)
+    return float(text)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.frame_labels: tuple[str, ...] | None = None
         self.frame_set: set[str] = set()
-        self.dnumbers: list[tuple[str, list[WeightEntry]]] = []
-        self.pairs: list[PairDegree] = []
-        self.overrides: list[OverrideDegree] = []
-        self.pair_keys: set[tuple[str, str]] = set()
-        self.override_keys: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-        self.section: object = None  # None | list[WeightEntry] | "pairs" | "overrides"
-        self.seen_pairs_section = False
-        self.seen_overrides_section = False
+        # Each keyed as its duplicate check needs; dicts keep declaration order.
+        self.dnumbers: dict[str, list[WeightEntry]] = {}
+        self.pairs: dict[tuple[str, str], float] = {}
+        self.overrides: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+        self.declared: set[str] = set()  # the section headers read so far
+        self.section: object = None  # None | list[WeightEntry] | "nonexclusivity" | "overrides"
 
     def run(self) -> ScenarioDocument:
         for line_no, raw in enumerate(self.lines, start=1):
@@ -160,10 +163,10 @@ class _Parser:
         return ScenarioDocument(
             frame=self.frame_labels,
             dnumbers=tuple(
-                NamedAssignment(name, tuple(entries)) for name, entries in self.dnumbers
+                NamedAssignment(name, tuple(entries)) for name, entries in self.dnumbers.items()
             ),
-            pairs=tuple(self.pairs),
-            overrides=tuple(self.overrides),
+            pairs=tuple(PairDegree(key, d) for key, d in self.pairs.items()),
+            overrides=tuple(OverrideDegree(key, d) for key, d in self.overrides.items()),
         )
 
     def fail(self, message: str, column: int | None = None):
@@ -177,42 +180,33 @@ class _Parser:
             if not m:
                 self.fail("expected 'frame: <label>, <label>, ...' before anything else")
             labels = self.split_labels(m.group("body"), m.start("body"))
-            seen: set[str] = set()
             for label, col in labels:
-                if label in seen:
+                if label in self.frame_set:
                     self.fail(f"duplicate frame label {label!r}", col)
-                seen.add(label)
+                self.frame_set.add(label)
             self.frame_labels = tuple(label for label, _ in labels)
-            self.frame_set = seen
             return
         if _FRAME_LINE.match(raw):
             self.fail("the frame is already declared")
         m = _DNUMBER_HEADER.match(raw)
         if m:
             name = m.group("name")
-            if any(name == existing for existing, _ in self.dnumbers):
+            if name in self.dnumbers:
                 self.fail(f"dnumber {name!r} is already declared", m.start("name") + 1)
-            entries: list[WeightEntry] = []
-            self.dnumbers.append((name, entries))
-            self.section = entries
+            self.section = self.dnumbers[name] = []
             return
-        if _PAIRS_HEADER.match(raw):
-            if self.seen_pairs_section:
-                self.fail("the nonexclusivity section is already declared")
-            self.seen_pairs_section = True
-            self.section = "pairs"
-            return
-        if _OVERRIDES_HEADER.match(raw):
-            if self.seen_overrides_section:
-                self.fail("the overrides section is already declared")
-            self.seen_overrides_section = True
-            self.section = "overrides"
+        m = _SECTION_HEADER.match(raw)
+        if m:
+            self.section = m.group("section")
+            if self.section in self.declared:
+                self.fail(f"the {self.section} section is already declared")
+            self.declared.add(self.section)
             return
         if self.section is None:
             self.fail("expected a section header ('dnumber <name>:', 'nonexclusivity:' or 'overrides:')")
         elif isinstance(self.section, list):
             self.subset_entry(raw, self.section)
-        elif self.section == "pairs":
+        elif self.section == "nonexclusivity":
             self.pair_entry(raw)
         else:
             self.override_entry(raw)
@@ -236,19 +230,17 @@ class _Parser:
             pos += len(segment) + 1
         return out
 
+    def known(self, label: str, col: int) -> str:
+        if label not in self.frame_set:
+            raise UnknownLabel(f"label {label!r} is not in the frame", self.line_no, col)
+        return label
+
     def known_subset(self, body: str, base: int) -> tuple[str, ...]:
         labels = self.split_labels(body, base, allow_empty=True)
-        for label, col in labels:
-            if label not in self.frame_set:
-                raise UnknownLabel(
-                    f"label {label!r} is not in the frame", self.line_no, col
-                )
-        return tuple(sorted({label for label, _ in labels}))
+        return tuple(sorted({self.known(label, col) for label, col in labels}))
 
     def value(self, text: str, col: int) -> float:
-        if not _NUMBER.match(text):
-            self.fail(f"expected a number, got {text!r}", col)
-        v = float(text)
+        v = _number(text, self.line_no, col)
         if not 0.0 <= v <= 1.0:
             raise OutOfRangeValue(f"value {text} is outside [0, 1]", self.line_no, col)
         return v
@@ -265,20 +257,14 @@ class _Parser:
         m = _PAIR_ENTRY.match(raw)
         if not m:
             self.fail("expected '<label> ~ <label>: <degree>'")
-        l1, l2 = m.group("l1"), m.group("l2")
-        for label, group in ((l1, "l1"), (l2, "l2")):
-            if label not in self.frame_set:
-                raise UnknownLabel(
-                    f"label {label!r} is not in the frame", self.line_no, m.start(group) + 1
-                )
+        l1, l2 = (self.known(m.group(g), m.start(g) + 1) for g in ("l1", "l2"))
         if l1 == l2:
             self.fail("a pair needs two distinct elements", m.start("l2") + 1)
         degree = self.value(m.group("value"), m.start("value") + 1)
         key = (l1, l2) if l1 < l2 else (l2, l1)
-        if key in self.pair_keys:
+        if key in self.pairs:
             raise DuplicatePair(f"pair {key[0]} ~ {key[1]} assigned twice", self.line_no)
-        self.pair_keys.add(key)
-        self.pairs.append(PairDegree(key, degree))
+        self.pairs[key] = degree
 
     def override_entry(self, raw: str):
         m = _OVERRIDE_ENTRY.match(raw)
@@ -288,13 +274,12 @@ class _Parser:
         s2 = self.known_subset(m.group("s2"), m.start("s2"))
         degree = self.value(m.group("value"), m.start("value") + 1)
         key = (s1, s2) if s1 <= s2 else (s2, s1)
-        if key in self.override_keys:
+        if key in self.overrides:
             raise DuplicatePair(
                 f"override {{{', '.join(key[0])}}} ~ {{{', '.join(key[1])}}} assigned twice",
                 self.line_no,
             )
-        self.override_keys.add(key)
-        self.overrides.append(OverrideDegree(key, degree))
+        self.overrides[key] = degree
 
 
 def _decode(data: bytes | str, what: str) -> str:
@@ -337,13 +322,7 @@ def parse_f_table(data: bytes | str) -> tuple[tuple[float, float, float], ...]:
             raise ScenarioSyntaxError(
                 f"expected 'q1 q2 value', got {len(tokens)} fields", line_no, 1
             )
-        values = []
-        for tok in tokens:
-            if not _NUMBER.match(tok.group()):
-                raise ScenarioSyntaxError(
-                    f"expected a number, got {tok.group()!r}", line_no, tok.start() + 1
-                )
-            values.append(float(tok.group()))
+        values = [_number(tok.group(), line_no, tok.start() + 1) for tok in tokens]
         for tok, q in zip(tokens[:2], values[:2]):
             if not 0.0 <= q <= 1.0:
                 raise OutOfRangeValue(
