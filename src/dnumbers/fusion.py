@@ -524,7 +524,9 @@ def mean_assignment(ds: Sequence[DNumber]) -> DNumber:
     if not ds:
         raise ValueError("need at least one D number")
     frame = _one_frame(*ds)
-    focal = set().union(*(d.focal_sets() for d in ds))
+    focal: set[int] = set()
+    for d in ds:
+        focal.update(d.focal_sets())
     n = len(ds)
     return DNumber._from_masks(
         frame, {m: fsum(d.weight(m) for d in ds) / n for m in focal}

@@ -141,8 +141,7 @@ def _number(text: str, line: int, col: int) -> float:
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.frame_labels: tuple[str, ...] | None = None
-        self.frame_set: set[str] = set()
+        self.frame: dict[str, None] | None = None  # the labels, in order
         # Each keyed as its duplicate check needs; dicts keep declaration order.
         self.dnumbers: dict[str, list[WeightEntry]] = {}
         self.pairs: dict[tuple[str, str], float] = {}
@@ -158,10 +157,10 @@ class _Parser:
             self.line_no = line_no
             self.raw = raw
             self.handle(raw)
-        if self.frame_labels is None:
+        if self.frame is None:
             raise ScenarioSyntaxError("scenario has no 'frame:' line", len(self.lines) or 1, 1)
         return ScenarioDocument(
-            frame=self.frame_labels,
+            frame=tuple(self.frame),
             dnumbers=tuple(
                 NamedAssignment(name, tuple(entries)) for name, entries in self.dnumbers.items()
             ),
@@ -175,16 +174,15 @@ class _Parser:
         raise ScenarioSyntaxError(message, self.line_no, column)
 
     def handle(self, raw: str):
-        if self.frame_labels is None:
+        if self.frame is None:
             m = _FRAME_LINE.match(raw)
             if not m:
                 self.fail("expected 'frame: <label>, <label>, ...' before anything else")
-            labels = self.split_labels(m.group("body"), m.start("body"))
-            for label, col in labels:
-                if label in self.frame_set:
+            self.frame = {}
+            for label, col in self.split_labels(m.group("body"), m.start("body")):
+                if label in self.frame:
                     self.fail(f"duplicate frame label {label!r}", col)
-                self.frame_set.add(label)
-            self.frame_labels = tuple(label for label, _ in labels)
+                self.frame[label] = None
             return
         if _FRAME_LINE.match(raw):
             self.fail("the frame is already declared")
@@ -231,7 +229,7 @@ class _Parser:
         return out
 
     def known(self, label: str, col: int) -> str:
-        if label not in self.frame_set:
+        if label not in self.frame:
             raise UnknownLabel(f"label {label!r} is not in the frame", self.line_no, col)
         return label
 
