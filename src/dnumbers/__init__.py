@@ -55,46 +55,8 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AGGREGATORS",
-    "AVERAGE",
-    "BeliefSummary",
-    "CompletenessAggregator",
-    "ConjunctiveResult",
-    "CONSTANT_ONE",
-    "DegreeMatrix",
-    "DNumber",
-    "EPSILON",
-    "Frame",
-    "FusionError",
-    "FusionReport",
-    "MAXIMUM",
-    "MINIMUM",
-    "NamedAssignment",
-    "NonExclusivityModel",
-    "OverrideDegree",
-    "PairDegree",
-    "PRODUCT",
-    "ReportDocument",
-    "RULES",
-    "Scenario",
-    "ScenarioDocument",
-    "WeightEntry",
-    "aggregator",
-    "combine_many",
-    "conjunctive",
-    "dcr1",
-    "dcr2",
-    "dempster",
-    "disjunctive",
-    "dubois_prade",
-    "errors",
-    "format_scenario",
-    "global_conflict",
-    "mean_assignment",
-    "parse_f_table",
-    "parse_scenario",
-    "residual_conflict",
-    "validate_f_points",
-    "yager",
+#: Every name that the imports above bind, less the submodules that they load
+#: on the way; of those, only ``errors`` is public.
+__all__ = ["errors"] + [
+    name for name, value in globals().items() if name[0] != "_" and type(value) is not type(errors)
 ]

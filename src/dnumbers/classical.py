@@ -5,17 +5,19 @@ the pair intersects, and splits it by a degree in [0, 1] between B|C and the
 conflict when it does not; the D number rules of :mod:`dnumbers.fusion` take
 that degree from their model, one row of degrees per focal set B.  The
 classical rules require complete operands and fix it: 0 for conjunctive,
-Dempster and Yager, 1 for Dubois-Prade.  Cell sums use ``math.fsum``, so every
-rule is exactly commutative.  The rules and K are checked against independent
-brute-force oracles, ``brute_dempster`` and ``brute_conflict`` in the tests.
-Long lists of pending products are squeezed into short exact expansions
-(:func:`_squeeze`), with the same ``fsum`` bit for bit, so the kernel's memory
-follows the cells, not the pairs, up to one outer row's products.
+Dempster and Yager, 1 for Dubois-Prade.  The disjunctive rule is the same
+pass at degree 0 over the complemented focal sets, so every rule runs one
+kernel pass.  Cell sums use ``math.fsum``, so every rule is exactly
+commutative.  The rules and K are checked against independent brute-force
+oracles, ``brute_dempster``, ``brute_disjunctive`` and ``brute_conflict`` in
+the tests.  Long lists of pending products are squeezed into short exact
+expansions (:func:`_squeeze`), with the same ``fsum`` bit for bit, so the
+kernel's memory follows the cells, not the pairs, up to one outer row's
+products.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from math import fsum
 from operator import itemgetter
 from types import MappingProxyType
@@ -58,7 +60,7 @@ def _compact(cells: dict[int, float | list[float]], added: int) -> int:
     return 0
 
 
-def _check_pair_budget(m1: DNumber, m2: DNumber) -> None:
+def _check_pair_budget(m1: Mapping[int, float], m2: Mapping[int, float]) -> None:
     pairs = len(m1) * len(m2)
     if pairs > MAX_FOCAL_PAIRS:
         raise TooManyFocalPairs(
@@ -68,10 +70,12 @@ def _check_pair_budget(m1: DNumber, m2: DNumber) -> None:
 
 
 def _products(
-    m1: DNumber, m2: DNumber, rows: float | Callable[[int], tuple[Sequence[float], Mapping[int, float]]]
+    m1: Mapping[int, float], m2: Mapping[int, float],
+    rows: float | Callable[[int], tuple[Sequence[float], Mapping[int, float]]],
 ) -> tuple[dict[int, float], float, float]:
     """Product masses per target subset, in no particular order, plus the
-    discounted conflict and the classical global conflict K.
+    discounted conflict and the classical global conflict K.  ``m1`` and
+    ``m2`` are D numbers or plain ``{mask: weight}`` dicts.
 
     Each product m1(B)*m2(C) lands on B&C when the pair intersects; a disjoint
     pair adds its product to K and credits degree*product to B|C and
@@ -182,16 +186,20 @@ def conjunctive(m1: DNumber, m2: DNumber) -> ConjunctiveResult:
 
 
 def disjunctive(m1: DNumber, m2: DNumber) -> DNumber:
-    """Disjunctive rule: every product lands on the union of its pair."""
+    """Disjunctive rule: every product lands on the union of its pair.
+
+    B|C is the complement of ~B & ~C, so a conjunctive pass over the
+    complemented focal sets (plain dicts: the frame's complement is the empty
+    mask) puts each product on the complement of its union, and its K is the
+    mass of the pairs whose union is the whole frame.
+    """
     _require_combinable(m1, m2)
-    _check_pair_budget(m1, m2)
-    cells: defaultdict[int, list[float]] = defaultdict(list)
-    added = 0
-    for b, w1 in m1.items():
-        for c, w2 in m2.items():
-            cells[b | c].append(w1 * w2)
-        added = _compact(cells, added + len(m2))
-    return DNumber._from_masks(m1.frame, {a: fsum(v) for a, v in cells.items()})
+    full = m1.frame.full_mask
+    cells, _, k = _products(*[{full ^ b: w for b, w in m.items()} for m in (m1, m2)], _exclusive)
+    masses = {full ^ a: v for a, v in cells.items()}
+    if k:
+        masses[full] = k
+    return DNumber._from_masks(m1.frame, masses)
 
 
 def dempster(m1: DNumber, m2: DNumber) -> DNumber:

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's focal-set shortcuts: belief,
 plausibility and Dempster's rule are summed by visiting every one of the 2^N
-subsets, so they stay independent of the code paths they check.
+subsets, and the disjunctive rule and the conflicts by visiting every focal
+pair, so they stay independent of the code paths they check.
 """
 
 import json
@@ -50,6 +51,18 @@ def brute_dempster(m1: dict[int, float], m2: dict[int, float]) -> dict[int, floa
             )
     k = sums.pop(0)
     return {a: s / (1.0 - k) for a, s in sums.items() if s}
+
+
+def brute_disjunctive(m1: dict[int, float], m2: dict[int, float]) -> dict[int, float]:
+    """The disjunctive rule on plain ``{mask: weight}`` dicts: visits every
+    focal pair and gives each union the fsum of the products of the pairs
+    with that union.  Unions whose sum is 0.0 are left out.  It never calls
+    the package."""
+    parts: dict[int, list[float]] = {}
+    for b, w1 in m1.items():
+        for c, w2 in m2.items():
+            parts.setdefault(b | c, []).append(w1 * w2)
+    return {a: s for a, v in parts.items() if (s := fsum(v))}
 
 
 def brute_conflict(m1: dict[int, float], m2: dict[int, float]) -> float:

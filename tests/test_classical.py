@@ -16,7 +16,7 @@ from dnumbers import (
 )
 from dnumbers import classical
 from dnumbers.errors import FrameMismatch, IncompleteInput, TotalConflict
-from helpers import brute_conflict
+from helpers import brute_conflict, brute_disjunctive
 
 RULES = (conjunctive, disjunctive, dempster, yager, dubois_prade)
 
@@ -88,6 +88,95 @@ class TestDisjunctive:
         assert result.weight(abc.full_mask) == 0.5
         assert result.is_complete()
 
+
+
+def spread_complete(rng: random.Random, frame: Frame, max_focal: int) -> DNumber:
+    """A complete assignment of up to ``max_focal`` focal sets, weights over 12
+    decades; the whole frame is focal about one time in six."""
+    full = frame.full_mask
+    masks = rng.sample(range(1, full), rng.randint(1, min(max_focal, full - 1))) if full > 1 else [1]
+    if rng.random() < 1 / 6:
+        masks[0] = full
+    weights = [10.0 ** rng.uniform(-12.0, 0.0) for _ in masks]
+    total = fsum(weights)
+    return DNumber(frame, {m: w / total for m, w in zip(masks, weights)})
+
+
+class TestDisjunctiveOracle:
+    """``disjunctive`` runs the conjunctive kernel on complemented focal sets;
+    ``brute_disjunctive`` sums every union directly, so ``==`` pins both."""
+
+    @staticmethod
+    def check(d1: DNumber, d2: DNumber) -> DNumber:
+        result = disjunctive(d1, d2)
+        assert dict(result.items()) == brute_disjunctive(dict(d1.items()), dict(d2.items()))
+        return result
+
+    @staticmethod
+    def seeded_pairs(seed: int) -> list[tuple[DNumber, DNumber]]:
+        rng = random.Random(seed)
+        return [
+            (spread_complete(rng, frame, most), spread_complete(rng, frame, most))
+            for frame in (Frame([f"e{i}" for i in range(size)]) for size in range(1, 13))
+            for most in (3, 80) * 5
+        ]
+
+    def test_seeded_pairs(self):
+        pairs = self.seeded_pairs(1616)
+        full_focal = covering = 0
+        for d1, d2 in pairs:
+            full = d1.frame.full_mask
+            full_focal += full in d1.masses or full in d2.masses
+            covering += full in self.check(d1, d2).masses
+        assert 20 < full_focal < len(pairs) - 20
+        assert covering < len(pairs)
+
+    def test_whole_frame_focal(self, abc):
+        # The frame's complement is the empty mask: every pair with the frame
+        # in it is a disjoint pair of the kernel, and its product goes to K.
+        d1 = DNumber(abc, {abc.full_mask: 0.25, ("a",): 0.75})
+        d2 = DNumber(abc, {("b",): 0.5, ("c",): 0.5})
+        result = self.check(d1, d2)
+        assert result.weight(abc.full_mask) == 0.25
+        assert result.weight(("a", "b")) == result.weight(("a", "c")) == 0.375
+
+    def test_no_union_covers_the_frame(self, abc):
+        d1 = DNumber(abc, {("a",): 0.5, ("a", "b"): 0.5})
+        d2 = DNumber(abc, {("a",): 0.4, ("b",): 0.6})
+        result = self.check(d1, d2)
+        assert abc.full_mask not in result.masses
+        assert result.is_complete()
+
+    def test_lone_products_that_underflow_are_dropped(self, abc):
+        # 2^-600 * 2^-600 underflows to 0.0, once on {a, c} and once on the
+        # whole frame, where K = 0.0 places nothing.
+        tiny = 2.0**-600
+        d1 = DNumber(abc, {("a",): tiny, ("b",): 1.0})
+        for other in (("c",), ("b", "c")):
+            result = self.check(d1, DNumber(abc, {other: tiny, ("b",): 1.0}))
+            assert abc.mask("a", *other) not in result.masses
+            assert result.weight(("b",)) == 1.0
+
+    def test_a_lone_subnormal_product_on_the_frame_is_kept(self, abc):
+        tiny = 2.0**-537
+        d1 = DNumber(abc, {("a",): tiny, ("b",): 1.0})
+        result = self.check(d1, DNumber(abc, {("b", "c"): tiny, ("b",): 1.0}))
+        assert result.weight(abc.full_mask) == 2.0**-1074
+
+    def test_forced_compaction(self, monkeypatch):
+        squeezed = []
+        squeeze = classical._squeeze
+
+        def counted(v):
+            squeezed.append(len(v))
+            return squeeze(v)
+
+        monkeypatch.setattr(classical, "_squeeze", counted)
+        monkeypatch.setattr(classical, "_SQUEEZE_CONFLICT", 0)
+        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
+        for d1, d2 in self.seeded_pairs(1617):
+            self.check(d1, d2)
+        assert max(squeezed) > 8
 
 class TestDempster:
     def test_total_conflict_raises(self, sure_pair):
