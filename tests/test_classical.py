@@ -89,7 +89,6 @@ class TestDisjunctive:
         assert result.is_complete()
 
 
-
 def spread_complete(rng: random.Random, frame: Frame, max_focal: int) -> DNumber:
     """A complete assignment of up to ``max_focal`` focal sets, weights over 12
     decades; the whole frame is focal about one time in six."""
@@ -177,6 +176,7 @@ class TestDisjunctiveOracle:
         for d1, d2 in self.seeded_pairs(1617):
             self.check(d1, d2)
         assert max(squeezed) > 8
+
 
 class TestDempster:
     def test_total_conflict_raises(self, sure_pair):
