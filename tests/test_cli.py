@@ -213,8 +213,8 @@ COMBINE_GOLDEN = json.loads((GOLDEN / "combine_all_rules.json").read_text())
 
 @pytest.mark.parametrize("key", COMBINE_CASES)
 def test_combine_matches_all_rule_golden(capsys, key):
-    code, out, _ = run(capsys, *COMBINE_CASES[key])
-    assert {"exit": code, "stdout": out} == COMBINE_GOLDEN[key]
+    code, out, err = run(capsys, *COMBINE_CASES[key])
+    assert {"exit": code, "stdout": out, "stderr": err} == COMBINE_GOLDEN[key]
 
 
 def test_combine_goldens_hold_under_forced_compaction(capsys, monkeypatch):
@@ -223,8 +223,47 @@ def test_combine_goldens_hold_under_forced_compaction(capsys, monkeypatch):
     monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
     assert len(COMBINE_CASES) == 120
     for key, argv in COMBINE_CASES.items():
-        code, out, _ = run(capsys, *argv)
-        assert {"exit": code, "stdout": out} == COMBINE_GOLDEN[key], key
+        code, out, err = run(capsys, *argv)
+        assert {"exit": code, "stdout": out, "stderr": err} == COMBINE_GOLDEN[key], key
+
+
+def combine_error_cases():
+    """Combine runs that end in an error, in both formats: every bad scenario
+    under dcr2 and dempster, and under dcr1 with --f (which of the two errors
+    wins); --f and --strategy given to each rule but dcr2; and scenarios with
+    one source and with none. Keyed as written in the golden."""
+    bad = sorted(BAD.glob("*.scn"))
+    runs = [(path, rule, ()) for path in bad for rule in ("dcr2", "dempster")]
+    runs += [(path, "dcr1", ("--f", "min")) for path in bad]
+    runs += [
+        (SCENARIOS / "high_medium.scn", rule, flags)
+        for rule in RULE_NAMES if rule != "dcr2"
+        for flags in (("--f", "min"), ("--strategy", "fold"))
+    ]
+    runs += [
+        (path, rule, ())
+        for path in (FIXTURES / "combine" / "one_source.scn", SCENARIOS / "abc_overlaps.scn")
+        for rule in RULE_NAMES
+    ]
+    for path, rule, flags in runs:
+        for output in ("human", "machine"):
+            key = " ".join((path.relative_to(REPO).as_posix(), rule, *flags, output))
+            yield key, ["combine", "--rule", rule, *flags, "--output", output, str(path)]
+
+
+COMBINE_ERROR_CASES = dict(combine_error_cases())
+COMBINE_ERROR_GOLDEN = json.loads((GOLDEN / "combine_errors.json").read_text())
+
+
+def test_combine_error_golden_covers_every_case():
+    assert len(COMBINE_ERROR_CASES) == 178
+    assert sorted(COMBINE_ERROR_GOLDEN) == sorted(COMBINE_ERROR_CASES)
+
+
+@pytest.mark.parametrize("key", COMBINE_ERROR_CASES)
+def test_combine_errors_match_golden(capsys, key):
+    code, out, err = run(capsys, *COMBINE_ERROR_CASES[key])
+    assert {"exit": code, "stdout": out, "stderr": err} == COMBINE_ERROR_GOLDEN[key]
 
 
 #: Every command but combine, as written in the transcript's keys; a ``.txt``
