@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from math import fsum
+from math import fsum, ulp
 from pathlib import Path
 
 import pytest
@@ -395,6 +395,21 @@ class TestDcr1:
             assert abs(report.k_d - global_conflict(d1, d2)) < 1e-15
             for mask in set(oracle.focal_sets()) | set(report.result.focal_sets()):
                 assert abs(report.result.weight(mask) - oracle.weight(mask)) < 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="near K = 1 dempster divides by the rounded 1 - K, not by the surviving mass",
+    )
+    @pytest.mark.parametrize("e", [1e-3, 1e-4, 3e-5])
+    def test_exclusive_model_agrees_with_dempster_near_total_conflict(self, abc, e):
+        # The only result is {b}, with weight 1; dcr1 gives exactly 1.0 for each e.
+        d1 = DNumber(abc, {("a",): 1 - e, ("a", "b"): e})
+        d2 = DNumber(abc, {("c",): 1 - 0.7 * e, ("b", "c"): 0.7 * e})
+        one = dcr1(d1, d2, NonExclusivityModel.exclusive(abc)).result
+        oracle = dempster(d1, d2)
+        for mask in set(oracle.focal_sets()) | set(one.focal_sets()):
+            a, b = one.weight(mask), oracle.weight(mask)
+            assert abs(a - b) <= 2 * ulp(max(a, b))
 
     def test_incomplete_inputs_rejected(self, abc, overlap_model, partial_sources):
         d1, d2 = partial_sources
