@@ -4,6 +4,11 @@ Subcommands: combine, bel, pl, qvalue, conflict, matrix, validate.  Each reads
 one scenario file (or standard input with ``-``) and prints either a human
 report or, with ``--output machine``, deterministic JSON.
 
+Each command returns its report's text and writes nothing; ``run_cli`` alone
+writes.  Standard output carries only the report (``matrix`` streams it) or
+the help text, and once the arguments are parsed a failure prints exactly one
+``error[kind]: message`` line on standard error and nothing on standard output.
+
 Exit codes: 0 success; 1 the scenario or table file is malformed (syntax,
 unknown labels, out-of-range values, duplicate pairs); 2 the file is
 well-formed but the mathematics rejects it (mass overflow, incomplete inputs
@@ -17,6 +22,8 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterator
+from itertools import chain
 
 from .classical import _products
 from .errors import FusionError
@@ -41,22 +48,12 @@ class _Abort(Exception):
     """Unusable invocation against a well-formed scenario."""
 
 
-def _kind(exc: Exception) -> str:
-    name = type(exc).__name__.lstrip("_")
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
-
-
-def _diag(exc: Exception) -> str:
-    return f"error[{_kind(exc)}]: {exc}"
-
-
-def _emit(args, human: str, machine: dict) -> int:
+def _render(args, lines: list[str], machine: dict) -> list[str]:
+    """The report as text: the human lines, or the machine record as JSON."""
     if args.output == "machine":
         import json  # imported here, as human output never needs it
-        sys.stdout.write(json.dumps(machine, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(human)
-    return EXIT_OK
+        return [json.dumps(machine, sort_keys=True, indent=2) + "\n"]
+    return ["\n".join(lines) + "\n"]
 
 
 def _read_scenario(args) -> bytes:
@@ -99,7 +96,7 @@ def _parse_subset_flag(frame: Frame, text: str) -> int:
 # --- combine --------------------------------------------------------------------
 
 
-def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
+def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
     if args.f is not None and args.rule != "dcr2":
         raise _Abort("--f applies to --rule dcr2 only")
     if args.strategy is not None and args.rule != "dcr2":
@@ -138,14 +135,13 @@ def _cmd_combine(args, doc: ScenarioDocument, raw: bytes) -> int:
         diagnostics=diag,
         inputs=inputs,
     )
-    sys.stdout.write(report_doc.to_machine() if machine else report_doc.to_human())
-    return EXIT_OK
+    return [report_doc.to_machine() if machine else report_doc.to_human()]
 
 
 # --- bel / pl -------------------------------------------------------------------
 
 
-def _cmd_measure(args, doc: ScenarioDocument, raw: bytes) -> int:
+def _cmd_measure(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
     names = _pick_sources(doc, 1)
     scenario = doc.build()
     source = args.source or names[0]
@@ -176,82 +172,82 @@ def _cmd_measure(args, doc: ScenarioDocument, raw: bytes) -> int:
             {"subset": list(labels), "value": value} for labels, value in rows
         ],
     }
-    return _emit(args, "\n".join(lines) + "\n", machine)
+    return _render(args, lines, machine)
 
 
 # --- qvalue ---------------------------------------------------------------------
 
 
-def _cmd_qvalue(args, doc: ScenarioDocument, raw: bytes) -> int:
+def _cmd_qvalue(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
     _pick_sources(doc, 1)
     lines, entries = _q_rows(doc.build().dnumbers, "")
-    return _emit(args, "\n".join(lines) + "\n", {"dnumbers": entries})
+    return _render(args, lines, {"dnumbers": entries})
 
 
 # --- conflict -------------------------------------------------------------------
 
 
-def _cmd_conflict(args, doc: ScenarioDocument, raw: bytes) -> int:
+def _cmd_conflict(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
     names = _pick_sources(doc, 2)[:2]
     scenario = doc.build()
     d1, d2 = (scenario.dnumbers[name] for name in names)
     _, k_d, k = _products(d1, d2, scenario.model._degrees_from)
-    human = (
-        f"sources: {names[0]}, {names[1]}\n"
-        f"K   = {fmt4(k)} (classical global conflict)\n"
-        f"K_D = {fmt4(k_d)} (residual conflict under the model)\n"
-    )
-    machine = {"dnumbers": names, "k": k, "k_d": k_d}
-    return _emit(args, human, machine)
+    lines = [
+        f"sources: {names[0]}, {names[1]}",
+        f"K   = {fmt4(k)} (classical global conflict)",
+        f"K_D = {fmt4(k_d)} (residual conflict under the model)",
+    ]
+    return _render(args, lines, {"dnumbers": names, "k": k, "k_d": k_d})
 
 
 # --- matrix ---------------------------------------------------------------------
 
 
-def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> int:
+def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> Iterator[str]:
     frame = doc.build_frame()
     model = doc.build_model(frame)
     # The ranks alone, never the float rows: only the distinct values that
     # some cell holds are formatted, once each, and every row indexes those
-    # strings and is written as soon as it is built.
+    # strings and is built only as it is written.
     matrix = model._ranked()
     if args.kind == "exclusive":
         matrix = matrix.complement()
     labels = [frame.labels_of(mask) for mask in matrix.subsets]
     shown, overrides = matrix.shown()
     values = matrix.values
-    write = sys.stdout.write
     if args.output == "machine":
         import json  # imported here, as human output never needs it
         # The bytes of json.dumps({"kind", "rows", "subsets"}, sort_keys=True,
         # indent=2) + "\n"; labels may need escapes, so json.dumps them.
         kind = "exclusive" if args.kind == "exclusive" else "nonexclusive"
         table = [repr(v) if r in shown else None for r, v in enumerate(values)]
-        write('{\n  "kind": "%s",\n  "rows": [\n' % kind)
-        for k, row in enumerate(matrix.rows_as(table, repr)):
-            write((",\n" if k else "") + "    [\n      " + ",\n      ".join(row) + "\n    ]")
-        write('\n  ],\n  "subsets": [\n')
-        write(",\n".join(
+        head = '{\n  "kind": "%s",\n  "rows": [\n' % kind
+        rows = (
+            (",\n" if k else "") + "    [\n      " + ",\n      ".join(row) + "\n    ]"
+            for k, row in enumerate(matrix.rows_as(table, repr))
+        )
+        tail = '\n  ],\n  "subsets": [\n' + ",\n".join(
             "    [\n      " + ",\n      ".join(map(json.dumps, subset)) + "\n    ]"
             for subset in labels
-        ))
-        write("\n  ]\n}\n")
-        return EXIT_OK
-    headers = [fmt_subset(subset) for subset in labels]
-    texts = {r: f"{values[r]:g}" for r in shown}
-    width = max(map(len, [*headers, *texts.values(), *map("{:g}".format, overrides)]))
-    table = [texts[r].rjust(width) if r in texts else None for r in range(len(values))]
-    write(" ".join([" " * width] + [h.rjust(width) for h in headers]) + "\n")
-    rows = matrix.rows_as(table, lambda d: f"{d:g}".rjust(width))
-    for header, row in zip(headers, rows):
-        write(header.rjust(width) + " " + " ".join(row) + "\n")
-    return EXIT_OK
+        ) + "\n  ]\n}\n"
+    else:
+        headers = [fmt_subset(subset) for subset in labels]
+        texts = {r: f"{values[r]:g}" for r in shown}
+        width = max(map(len, [*headers, *texts.values(), *map("{:g}".format, overrides)]))
+        table = [texts[r].rjust(width) if r in texts else None for r in range(len(values))]
+        head = " ".join([" " * width] + [h.rjust(width) for h in headers]) + "\n"
+        rows = (
+            header.rjust(width) + " " + " ".join(row) + "\n"
+            for header, row in zip(headers, matrix.rows_as(table, lambda d: f"{d:g}".rjust(width)))
+        )
+        tail = ""
+    return chain([head], rows, [tail])
 
 
 # --- validate -------------------------------------------------------------------
 
 
-def _cmd_validate(args, doc: ScenarioDocument, raw: bytes) -> int:
+def _cmd_validate(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
     scenario = doc.build()
     rows, entries = _q_rows(scenario.dnumbers, "dnumber ")
     lines = [
@@ -275,11 +271,11 @@ def _cmd_validate(args, doc: ScenarioDocument, raw: bytes) -> int:
                 points = parse_f_table(fh.read())
             count = validate_f_points(points)
         except (OSError, FusionError) as exc:
-            print(_diag(exc), file=sys.stderr)
-            return EXIT_PARSE
+            exc.exit_code = EXIT_PARSE  # a malformed table exits as a malformed scenario does
+            raise
         lines.append(f"f-table: OK ({count} points)")
         machine["f_table"] = {"valid": True, "points": count}
-    return _emit(args, "\n".join(lines) + "\n", machine)
+    return _render(args, lines, machine)
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -374,17 +370,19 @@ def run_cli(argv: list[str] | None = None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    code = EXIT_PARSE
     try:
         raw = _read_scenario(args)
         doc = parse_scenario(raw)
-    except (OSError, FusionError) as exc:
-        print(_diag(exc), file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        return args.handler(args, doc, raw)
-    except (_Abort, FusionError) as exc:
-        print(_diag(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+        code = EXIT_DOMAIN
+        text = args.handler(args, doc, raw)
+    except (OSError, _Abort, FusionError) as exc:
+        kind = re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__.lstrip("_")).lower()
+        print(f"error[{kind}]: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", code)
+    # Outside the try: a closed pipe (BrokenPipeError) must reach main().
+    sys.stdout.writelines(text)
+    return EXIT_OK
 
 
 def main() -> None:
