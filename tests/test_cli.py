@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -313,6 +314,18 @@ def test_transcript_covers_every_case():
 def test_cli_matches_transcript(capsys, key):
     code, out, err = run(capsys, *TRANSCRIPT_CASES[key])
     assert {"exit": code, "stdout": out, "stderr": err} == TRANSCRIPT[key]
+
+
+def test_every_pinned_failure_prints_one_error_line_and_no_report():
+    # The output contract: once the arguments parse, a failure writes exactly
+    # one error[kind]: message line on stderr and nothing on stdout.
+    pinned = [*TRANSCRIPT.values(), *COMBINE_GOLDEN.values(), *COMBINE_ERROR_GOLDEN.values()]
+    failures = [case for case in pinned if case["exit"]]
+    assert len(failures) == 718
+    for case in failures:
+        assert case["exit"] in (1, 2) and case["stdout"] == ""
+        assert re.fullmatch(r"error\[[a-z-]+\]: [^\n]+\n", case["stderr"]), case["stderr"]
+    assert all(case["stderr"] == "" for case in pinned if not case["exit"])
 
 
 class TestMeasures:
