@@ -227,16 +227,19 @@ class NonExclusivityModel:
             position[b]: {position[c]: d for c, d in over.items()}
             for b, over in self._by_subset.items()
         }
+        # up[j][p]: the position of C plus element j, where p is C's position
+        # and -1 the empty set's; read from ``position``, so rows share its ints.
+        up = [[position[m | 1 << j] for m in subsets] + [position[1 << j]] for j in range(n)]
         positions, ranks = [], []
         for b in subsets:
             # The subsets C of B's complement and the ranks max over j in C of
             # reach[B][j], doubled one element j at a time, lowest first; the
             # empty set, rank 0, starts them and has no cell.
-            row_reach, masks, row = reach[b], [0], b"\0"
+            row_reach, columns, row = reach[b], [-1], b"\0"
             for j in bit_indices(self.frame.full_mask ^ b):
                 row += row.translate(raise_to[row_reach[j]])
-                masks += [m | 1 << j for m in masks]
-            positions.append(tuple(map(position.__getitem__, masks[1:])))
+                columns += [*map(up[j].__getitem__, columns)]
+            positions.append(tuple(columns[1:]))
             ranks.append(row[1:])
         return _RankedMatrix(
             self.frame, subsets, tuple(positions), tuple(ranks), tuple(values), overrides
@@ -331,9 +334,9 @@ class _RankedMatrix(Record):
     def rows_as(self, table: Sequence, cell: Callable[[float], object]) -> Iterator[tuple]:
         """Each row, a rank r read as ``table[r]`` and an override d of the
         row as ``cell(d)``."""
-        top = [table[len(self.values) - 1]] * len(self.subsets)
+        top = table[len(self.values) - 1]
+        row = [top] * len(self.subsets)
         for k, (positions, ranks) in enumerate(zip(self.positions, self.ranks)):
-            row = top.copy()
             for l, r in zip(positions, ranks):
                 row[l] = table[r]
             over = self.overrides.get(k)
@@ -341,6 +344,8 @@ class _RankedMatrix(Record):
                 for l, d in over.items():
                     row[l] = cell(d)
             yield tuple(row)
+            for l in positions:  # overrides cover only these: the row is all top again
+                row[l] = top
 
 
 # --- completeness aggregators --------------------------------------------------

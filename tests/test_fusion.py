@@ -229,6 +229,72 @@ class TestMatrix:
             assert matrix.rows[k] == expected
             assert list(map(repr, comp.rows[k])) == [repr(1.0 - v) for v in expected]
 
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_every_exclusive_row_matches_one_minus_the_oracle(self, size):
+        # Rows are written into one reused buffer; compared by repr, a cell
+        # left over from an earlier row, or a -0.0 read as 0.0, shows.
+        model = self._model_with_overrides(4500 + size, size)
+        pairs = dict(model.element_degrees)
+        overrides = dict(model.subset_overrides)
+        comp = model.matrix().exclusive()
+        for b, row in zip(comp.subsets, comp.rows, strict=True):
+            expected = [repr(1.0 - brute_degree(pairs, overrides, b, c)) for c in comp.subsets]
+            assert list(map(repr, row)) == expected
+
+    def test_overrides_on_consecutive_rows(self):
+        # The four singletons are canonical rows 0-3, and each overrides a
+        # cell that the next row's elements intersect.
+        frame = Frame(["a", "b", "c", "d"])
+        overrides = {
+            (("a",), ("b",)): 0.25,
+            (("b",), ("c",)): -0.0,
+            (("c",), ("d",)): 0.0,
+            (("d",), ("a", "b")): 1.0,
+            (("a",), ("c", "d")): 0.75,
+        }
+        model = NonExclusivityModel(frame, {("a", "c"): 0.5, ("b", "d"): 0.125}, overrides)
+        pairs = dict(model.element_degrees)
+        masks = dict(model.subset_overrides)
+        assert len(masks) == len(overrides)
+        matrix = model.matrix()
+        comp = matrix.exclusive()
+        ranked = model._ranked()
+        table = [repr(v) for v in ranked.values]
+        for k, b in enumerate(matrix.subsets):
+            expected = [brute_degree(pairs, masks, b, c) for c in matrix.subsets]
+            assert list(map(repr, matrix.rows[k])) == list(map(repr, expected))
+            assert list(map(repr, comp.rows[k])) == [repr(1.0 - v) for v in expected]
+        assert repr(matrix.rows[1][2]) == repr(matrix.rows[2][1]) == "-0.0"
+        assert list(ranked.rows_as(table, repr)) == [
+            tuple(map(repr, row)) for row in matrix.rows
+        ]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+    def test_positions_are_the_complement_subsets_in_doubling_order(self, size):
+        # Recomputed from the canonical order alone: C's place in the doubling
+        # over B's complement, lowest element first, is the number whose bit t
+        # says whether C holds the complement's t-th lowest element.
+        frame = Frame([f"e{i}" for i in range(size)])
+        canonical = list(frame.subsets())
+        position = {m: k for k, m in enumerate(canonical)}
+        ranked = random_model(random.Random(4600 + size), frame)._ranked()
+        assert ranked.subsets == tuple(canonical)
+        for k, b in enumerate(canonical):
+            free = [j for j in range(size) if not b >> j & 1]
+            inside = [c for c in canonical if not b & c]
+            inside.sort(key=lambda c: sum(1 << t for t, j in enumerate(free) if c >> j & 1))
+            assert ranked.positions[k] == tuple(position[c] for c in inside)
+            assert len(ranked.ranks[k]) == len(inside)
+
+    def test_positions_share_one_int_per_column(self):
+        # 57,002 disjoint cells at 10 elements, but at most one int object per
+        # column: the positions are the canonical index's own ints.
+        ranked = random_model(random.Random(4700), Frame([f"e{i}" for i in range(10)]))._ranked()
+        cells = [p for row in ranked.positions for p in row]
+        assert len(cells) == 3**10 - 2**11 + 1
+        # Every column but the whole frame's, which meets every row.
+        assert len(set(map(id, cells))) == len(set(cells)) == len(ranked.subsets) - 1
+
     def test_exclusive_is_exact_complement_with_overrides(self):
         model = self._model_with_overrides(4100, 6)
         assert model.subset_overrides
