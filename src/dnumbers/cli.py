@@ -375,21 +375,23 @@ def run_cli(argv: list[str] | None = None) -> int:
         raw = _read_scenario(args)
         doc = parse_scenario(raw)
         code = EXIT_DOMAIN
-        text = args.handler(args, doc, raw)
+        sys.stdout.writelines(args.handler(args, doc, raw))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise  # main() ends quietly, as SIGPIPE would
     except (OSError, _Abort, FusionError) as exc:
-        kind = re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__.lstrip("_")).lower()
+        name = type(exc).__name__.lstrip("_")  # OSError reads os-error
+        kind = re.sub(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "-", name).lower()
         print(f"error[{kind}]: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", code)
-    # Outside the try: a closed pipe (BrokenPipeError) must reach main().
-    sys.stdout.writelines(text)
     return EXIT_OK
 
 
 def main() -> None:
     try:
         code = run_cli()
-        sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout: end quietly, as SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    if code:  # what a failed stdout still holds would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -686,6 +687,53 @@ class TestClosedStdout:
         assert head == full[:1024]
         assert err == b""
         assert code == 141
+
+    def test_closed_pipe_under_buffered_stdout_ends_quietly_with_141(self):
+        src = str(REPO / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = [sys.executable, "-m", "dnumbers", "matrix", "expand", str(FIXTURES / "matrix_cap12.scn")]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(1024)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert len(head) == 1024
+        assert err == b""
+        assert code == 141
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullStdout:
+    """An output device that fails (here: no space left) is one error line and
+    exit 2, with no traceback and nothing reported again at shutdown."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qvalue", FUSION],
+            ["matrix", "expand", OVERLAPS],
+            ["matrix", "expand", str(FIXTURES / "matrix_cap12.scn"), "--output", "machine"],
+        ],
+        ids=["qvalue", "matrix-expand", "matrix-expand-streamed"],
+    )
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_failed_write_prints_one_error_line_and_exits_2(self, argv, unbuffered):
+        # Buffered, stdout still holds the failed bytes when main() returns.
+        src = str(REPO / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dnumbers", *argv],
+                env=env, stdout=full, stderr=subprocess.PIPE, timeout=120,
+            )
+        assert proc.stderr.decode().splitlines() == [
+            f"error[os-error]: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        ]
+        assert proc.returncode == 2
 
 
 class TestStdin:
