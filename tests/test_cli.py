@@ -667,6 +667,17 @@ print(" ".join(sorted(ran)))
         assert code == 0 and calls == []
 
 
+def _child_env(unbuffered: str) -> dict:
+    """The environment of a ``python -m dnumbers`` child that imports this
+    tree, with ``PYTHONUNBUFFERED`` set to ``unbuffered`` (unset if empty)."""
+    src = str(REPO / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
 class TestClosedStdout:
     def test_reader_closing_the_pipe_ends_quietly_with_141(self, tmp_path):
         rng = random.Random(8)
@@ -689,10 +700,8 @@ class TestClosedStdout:
         assert code == 141
 
     def test_closed_pipe_under_buffered_stdout_ends_quietly_with_141(self):
-        src = str(REPO / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONUNBUFFERED", None)
         argv = [sys.executable, "-m", "dnumbers", "matrix", "expand", str(FIXTURES / "matrix_cap12.scn")]
+        env = _child_env(unbuffered="")
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             head = proc.stdout.read(1024)
             proc.stdout.close()
@@ -703,11 +712,30 @@ class TestClosedStdout:
         assert code == 141
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-class TestFullStdout:
-    """An output device that fails (here: no space left) is one error line and
-    exit 2, with no traceback and nothing reported again at shutdown."""
+class TestFailingStdout:
+    """A standard output that fails, other than a closed pipe, is one error
+    line and exit 2, with no traceback and nothing reported again at
+    shutdown; ``/dev/full`` fails every write with no space left."""
 
+    @staticmethod
+    def _failing_stdout(error: OSError) -> io.StringIO:
+        class Failing(io.StringIO):
+            def flush(self):
+                raise error
+
+        return Failing()
+
+    def test_write_error_in_process_is_one_line_and_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", self._failing_stdout(OSError(errno.EIO, "I/O error")))
+        assert run_cli(["qvalue", FUSION]) == 2
+        assert capsys.readouterr().err == f"error[os-error]: [Errno {errno.EIO}] I/O error\n"
+
+    def test_closed_pipe_in_process_is_left_to_main(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", self._failing_stdout(BrokenPipeError(errno.EPIPE, "x")))
+        with pytest.raises(BrokenPipeError):
+            run_cli(["qvalue", FUSION])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -720,15 +748,10 @@ class TestFullStdout:
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_failed_write_prints_one_error_line_and_exits_2(self, argv, unbuffered):
         # Buffered, stdout still holds the failed bytes when main() returns.
-        src = str(REPO / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = unbuffered
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "dnumbers", *argv],
-                env=env, stdout=full, stderr=subprocess.PIPE, timeout=120,
+                env=_child_env(unbuffered), stdout=full, stderr=subprocess.PIPE, timeout=120,
             )
         assert proc.stderr.decode().splitlines() == [
             f"error[os-error]: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"

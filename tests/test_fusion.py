@@ -206,8 +206,13 @@ class TestMatrix:
                 key=lambda m: (m.bit_count(), [i for i in range(size) if m >> i & 1]),
             )
         )
-        for b, row in zip(matrix.subsets, matrix.rows, strict=True):
-            assert row == tuple(brute_degree(pairs, overrides, b, c) for c in matrix.subsets)
+        # Every row of both matrices, by repr: rows are written into one
+        # reused buffer, so a cell left over from an earlier row would show.
+        comp = matrix.exclusive()
+        for b, row, comp_row in zip(matrix.subsets, matrix.rows, comp.rows, strict=True):
+            expected = [brute_degree(pairs, overrides, b, c) for c in matrix.subsets]
+            assert list(map(repr, row)) == list(map(repr, expected))
+            assert list(map(repr, comp_row)) == [repr(1.0 - v) for v in expected]
 
     @pytest.mark.parametrize("size", range(9, 13))
     def test_sampled_rows_match_the_brute_force_oracle_up_to_the_cap(self, size):
@@ -228,18 +233,6 @@ class TestMatrix:
             expected = tuple(brute_degree(pairs, overrides, subsets[k], c) for c in subsets)
             assert matrix.rows[k] == expected
             assert list(map(repr, comp.rows[k])) == [repr(1.0 - v) for v in expected]
-
-    @pytest.mark.parametrize("size", range(1, 9))
-    def test_every_exclusive_row_matches_one_minus_the_oracle(self, size):
-        # Rows are written into one reused buffer; compared by repr, a cell
-        # left over from an earlier row, or a -0.0 read as 0.0, shows.
-        model = self._model_with_overrides(4500 + size, size)
-        pairs = dict(model.element_degrees)
-        overrides = dict(model.subset_overrides)
-        comp = model.matrix().exclusive()
-        for b, row in zip(comp.subsets, comp.rows, strict=True):
-            expected = [repr(1.0 - brute_degree(pairs, overrides, b, c)) for c in comp.subsets]
-            assert list(map(repr, row)) == expected
 
     def test_overrides_on_consecutive_rows(self):
         # The four singletons are canonical rows 0-3, and each overrides a
