@@ -12,8 +12,9 @@ the help text, and once the arguments are parsed a failure prints exactly one
 Exit codes: 0 success; 1 the scenario or table file is malformed (syntax,
 unknown labels, out-of-range values, duplicate pairs); 2 the file is
 well-formed but the mathematics rejects it (mass overflow, incomplete inputs
-where completeness is required, total conflict, ...) or the invocation itself
-is unusable; 141 (128 + SIGPIPE) the reader closed standard output early.
+where completeness is required, total conflict, ...), the invocation itself
+is unusable, or writing standard output failed (``error[os-error]``, as on a
+full disk); 141 (128 + SIGPIPE) the reader closed standard output early.
 """
 
 from __future__ import annotations
