@@ -26,8 +26,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import FrameMismatch, IncompleteInput, TooManyFocalPairs, TotalConflict
 from .evidence import DNumber, Frame, Record, _canonical, bit_indices
 
-#: Surviving mass at or below this fraction of Q1*Q2 counts as none: dividing
-#: by it would amplify representation error past any useful tolerance.
+#: dcr1 and dcr2 raise TotalConflict when at most this fraction of Q1*Q2
+#: survives, dempster when K >= 1 - this: dividing by less amplifies error.
 TOTAL_CONFLICT_TOLERANCE = 1e-12
 
 #: Most focal pairs, |F1| * |F2|, that one two-source combination may visit;

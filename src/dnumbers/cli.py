@@ -20,10 +20,12 @@ full disk); 141 (128 + SIGPIPE) the reader closed standard output early.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
 from collections.abc import Iterator
+from contextlib import redirect_stdout
 from itertools import chain
 
 from .classical import _products
@@ -361,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    code = EXIT_PARSE
     try:
-        args, extra = parser.parse_known_args(argv)
+        with redirect_stdout(io.StringIO()) as help_text:  # argparse would drop a failed write
+            args, extra = parser.parse_known_args(argv)
         # Some argparse versions (3.11.7, 3.12.1, 3.13.0) leave the optional scenario
         # unset once they read `matrix KIND`, so a file named after `--output` is left over.
         if args.scenario is None and len(extra) == 1 and (extra[0] == "-" or extra[0][:1] != "-"):
@@ -370,13 +374,17 @@ def run_cli(argv: list[str] | None = None) -> int:
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
-        return int(exc.code or 0)
-    code = EXIT_PARSE
+        if exc.code:
+            return int(exc.code)
+        args, code = None, EXIT_DOMAIN  # --help: its text is the report
     try:
-        raw = _read_scenario(args)
-        doc = parse_scenario(raw)
-        code = EXIT_DOMAIN
-        sys.stdout.writelines(args.handler(args, doc, raw))
+        if args is None:
+            sys.stdout.write(help_text.getvalue())
+        else:
+            raw = _read_scenario(args)
+            doc = parse_scenario(raw)
+            code = EXIT_DOMAIN
+            sys.stdout.writelines(args.handler(args, doc, raw))
         sys.stdout.flush()
     except BrokenPipeError:
         raise  # main() ends quietly, as SIGPIPE would

@@ -443,11 +443,11 @@ def validate_f_points(points: Iterable[tuple[float, float, float]]) -> int:
 class FusionReport(Record):
     """A combined D number plus the diagnostics of the rule that produced it.
 
-    ``k_d``, the residual conflict, is set on the DCR paths; ``d_t_total``
-    (the unnormalized mass that survived) and ``f_value`` on the DCR2 path;
-    ``k``, the classical global conflict, on every path but the disjunctive
-    one.  The conjunctive rule's ``result`` is a :class:`ConjunctiveResult`,
-    which keeps the mass on the empty set.
+    ``k_d``, the residual conflict, is set by dcr1 and dcr2; ``d_t_total``
+    (the unnormalized surviving mass) and ``f_value`` by dcr2 only, although
+    dcr1 is dcr2 with f = 1; ``k``, the global conflict, by all but disjunctive.
+    The conjunctive rule's ``result`` is a :class:`ConjunctiveResult`, which
+    keeps the mass on the empty set.
     """
 
     result: DNumber | ConjunctiveResult
@@ -473,27 +473,16 @@ def residual_conflict(
 
 
 def dcr1(d1: DNumber, d2: DNumber, model: NonExclusivityModel) -> FusionReport:
-    """Combine two complete D numbers, renormalizing away the residual conflict.
-
-    Requires both inputs complete.  Raises TotalConflict when the discounted
-    conflict K_D reaches 1, in which case nothing is left to normalize.
-    """
+    """Combine two complete D numbers: :func:`dcr2` with f = 1, reported as
+    ``"dcr1"`` with K_D and K but without the surviving mass or f."""
     _one_frame(d1, d2, model)
     if not (d1.is_complete() and d2.is_complete()):
         raise IncompleteInput(
             "dcr1 requires complete D numbers "
             f"(Q values {d1.q_value!r} and {d2.q_value!r}); use dcr2 instead"
         )
-    masses, k_d, k = _products(d1, d2, model._degrees_from)
-    # Normalize by the surviving mass itself; algebraically 1 - K_D, but free
-    # of the cancellation that 1 - K_D suffers when K_D is close to 1.
-    retained = fsum(masses.values())
-    if k_d >= 1.0 - TOTAL_CONFLICT_TOLERANCE or retained <= TOTAL_CONFLICT_TOLERANCE:
-        raise TotalConflict(f"discounted conflict K_D = {k_d!r}; combination is undefined")
-    for a, v in masses.items():
-        masses[a] = v / retained
-    result = DNumber._from_masks(d1.frame, masses)
-    return FusionReport(result, "dcr1", d1.q_value, d2.q_value, k_d=k_d, k=k)
+    two = dcr2(d1, d2, model, CONSTANT_ONE)
+    return FusionReport(two.result, "dcr1", two.q1, two.q2, k_d=two.k_d, k=two.k)
 
 
 def dcr2(
@@ -505,11 +494,13 @@ def dcr2(
     """Combine two (possibly incomplete) D numbers.
 
     The degree-weighted masses are normalized and then scaled so the output's
-    total mass is f(Q1, Q2).  With two complete inputs and any admissible f
-    this coincides with dcr1.  Raises TotalConflict when no mass survives.
+    total mass is f(Q1, Q2); on complete inputs with f = 1 this is dcr1.
+    Raises TotalConflict when at most ``TOTAL_CONFLICT_TOLERANCE`` * Q1*Q2 survives.
     """
     _one_frame(d1, d2, model)
     masses, k_d, k = _products(d1, d2, model._degrees_from)
+    # Normalize by the surviving mass itself: 1 - K_D for complete inputs, but
+    # free of the cancellation that 1 - K_D suffers when K_D is close to 1.
     total = fsum(masses.values())
     q1, q2 = d1.q_value, d2.q_value
     # Relative to Q1*Q2, the mass the products started with, multiplied first so both orders agree.

@@ -8,7 +8,9 @@ pair, so they stay independent of the code paths they check.
 
 import json
 import random
-from math import fsum
+from fractions import Fraction
+from math import fsum, ulp
+from typing import Callable
 
 from dnumbers import DNumber, Frame, NonExclusivityModel
 
@@ -122,6 +124,39 @@ def brute_residual(
             conflict.append((1.0 - u) * w1 * w2)
     cells = {a: fsum(v) for a, v in parts.items() if fsum(v)}
     return cells, fsum(conflict)
+
+
+def exact_dcr(
+    m1: dict[int, float],
+    m2: dict[int, float],
+    pairs: dict[tuple[int, int], float],
+    overrides: dict[tuple[int, int], float],
+    f: Callable[[Fraction, Fraction], Fraction],
+) -> dict[int, Fraction]:
+    """DCR2 with aggregator ``f`` in exact rational arithmetic; f = 1 gives DCR1.
+
+    Works on plain ``{mask: weight}`` dicts and the plain degree dicts of
+    :func:`brute_degree`.  Every focal pair's product, as a ``Fraction``, goes
+    to B&C when the pair intersects, and degree * product goes to B|C when it
+    does not.  The cells are divided by their exact sum and multiplied by
+    ``f`` of the exact total masses.  Cells that received nothing are left
+    out.  It never calls the package.
+    """
+    cells: dict[int, Fraction] = {}
+    for b, w1 in m1.items():
+        for c, w2 in m2.items():
+            target = b & c or b | c
+            share = Fraction(brute_degree(pairs, overrides, b, c)) * Fraction(w1) * Fraction(w2)
+            cells[target] = cells.get(target, 0) + share
+    scale = f(sum(map(Fraction, m1.values())), sum(map(Fraction, m2.values())))
+    scale /= sum(cells.values())
+    return {a: v * scale for a, v in cells.items() if v}
+
+
+def ulps(got: float, exact: Fraction) -> Fraction:
+    """How far ``got`` lies from ``exact``, in units of the last place of the
+    float nearest to ``exact``."""
+    return abs(Fraction(got) - exact) / Fraction(ulp(float(exact)))
 
 
 def random_complete(rng: random.Random, frame: Frame, max_focal: int = 4) -> DNumber:

@@ -614,6 +614,7 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "combine" in out
+        assert out == build_parser().format_help()
 
 
 class TestStartup:
@@ -730,6 +731,12 @@ class TestFailingStdout:
         assert run_cli(["qvalue", FUSION]) == 2
         assert capsys.readouterr().err == f"error[os-error]: [Errno {errno.EIO}] I/O error\n"
 
+    @pytest.mark.parametrize("argv", [["--help"], ["matrix", "--help"]], ids=["help", "matrix-help"])
+    def test_help_write_error_in_process_is_one_line_and_exit_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", self._failing_stdout(OSError(errno.EIO, "I/O error")))
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error[os-error]: [Errno {errno.EIO}] I/O error\n"
+
     def test_closed_pipe_in_process_is_left_to_main(self, monkeypatch):
         monkeypatch.setattr(sys, "stdout", self._failing_stdout(BrokenPipeError(errno.EPIPE, "x")))
         with pytest.raises(BrokenPipeError):
@@ -742,8 +749,10 @@ class TestFailingStdout:
             ["qvalue", FUSION],
             ["matrix", "expand", OVERLAPS],
             ["matrix", "expand", str(FIXTURES / "matrix_cap12.scn"), "--output", "machine"],
+            ["--help"],
+            ["matrix", "--help"],
         ],
-        ids=["qvalue", "matrix-expand", "matrix-expand-streamed"],
+        ids=["qvalue", "matrix-expand", "matrix-expand-streamed", "help", "matrix-help"],
     )
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_failed_write_prints_one_error_line_and_exits_2(self, argv, unbuffered):
