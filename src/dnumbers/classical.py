@@ -19,7 +19,6 @@ products.
 from __future__ import annotations
 
 from math import fsum
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -83,13 +82,12 @@ def _products(
     degree for every disjoint pair, or a model's ``_degrees_from``: B's reach
     and overrides, asked for at B's first disjoint partner, so sources that
     rarely conflict build few rows.  The degree of C is then its override, or
-    the largest reach over C's elements, read by one ``itemgetter`` per column
-    built once per call.  A cell holds its first product as a bare float and
-    becomes a list at its second (products are never -0.0, so the float is
-    its own ``fsum``).  Cell lists and both conflicts are fsum-reduced, making
-    the outcome independent of operand order.  Lists are squeezed after each
-    outer row (:func:`_compact`), so the bounds hold up to one row's products;
-    the cells are reduced in the dict that held them.
+    the largest reach over C's elements.  A cell holds its first product as a
+    bare float and becomes a list at its second (products are never -0.0, so
+    the float is its own ``fsum``).  Cell lists and both conflicts are
+    fsum-reduced, making the outcome independent of operand order.  Lists are
+    squeezed after each outer row (:func:`_compact`), so the bounds hold up to
+    one row's products; the cells are reduced in the dict that held them.
     """
     _check_pair_budget(m1, m2)
     cells: dict = {}
@@ -97,25 +95,28 @@ def _products(
     conflict: list[float] = []
     disjoint: list[float] = []
     constant = not callable(rows)
-    # A getter lists C's lowest element twice, so it returns a tuple for any C.
-    columns = [
-        (c, w2, None if constant else itemgetter(*bit_indices(c), (c & -c).bit_length() - 1))
-        for c, w2 in m2.items()
-    ]
+    columns = [(c, w2, None if constant else bit_indices(c)) for c, w2 in m2.items()]
     added = 0
     for b, w1 in m1.items():
         over = None
-        for c, w2, getter in columns:
+        for c, w2, indices in columns:
             prod = w1 * w2
             cell = b & c
             if not cell:
                 disjoint.append(prod)
-                if getter is None:
+                if indices is None:
                     u = rows
                 else:
                     if over is None:
                         reach, over = rows(b)
-                    u = over[c] if c in over else max(getter(reach))
+                    if c in over:
+                        u = over[c]
+                    else:
+                        # Cheaper than a max() call; no reach is -0.0, so 0.0 starts it.
+                        u = 0.0
+                        for j in indices:
+                            if reach[j] > u:
+                                u = reach[j]
                 if u < 1.0:
                     conflict.append((1.0 - u) * prod)
                 if u <= 0.0:

@@ -177,14 +177,14 @@ class NonExclusivityModel:
         """B's row as data: B's reach and B's overrides.
 
         ``reach[j]`` is the largest pair degree between element j and an
-        element of B.  The degree of a subset C disjoint from B is its override
-        if listed, else the largest ``reach[j]`` over the elements j of C;
-        ``classical._products`` reads it with one ``itemgetter`` per C.  The
-        reach holds no -0.0, so an all-zero maximum reads 0.0.  Building the
-        row costs O(|B| n); each lookup in it then costs O(|C|).
+        element of B, merged from B's element rows by comparisons (cheaper than
+        max()).  A subset C disjoint from B has its override if listed, else
+        the largest ``reach[j]`` over j in C; no reach is -0.0, so an all-zero
+        maximum reads 0.0.  A row costs O(|B| n), a lookup in it O(|C|).
         """
-        rows = [self._elem[i] for i in bit_indices(b)]
-        reach = rows[0] if len(rows) == 1 else tuple(map(max, *rows))
+        reach, *rows = [self._elem[i] for i in bit_indices(b)]
+        for row in rows:
+            reach = [x if x > y else y for x, y in zip(reach, row)]
         return reach, self._by_subset.get(b, _NO_OVERRIDES)
 
     def matrix(self) -> "DegreeMatrix":
@@ -215,12 +215,11 @@ class NonExclusivityModel:
         # raise_to[r] maps a rank x to max(x, r).
         raise_to = [bytes([r]) * r + bytes(range(r, 256)) for r in range(len(values))]
         # reach[B][j]: rank of the degree between element j outside B and
-        # subset B, the DP max(reach[B minus its lowest element], elem[lowest
-        # element]).
+        # subset B, doubled one element i at a time: max(reach[B], elem[i])
+        # for B | 1 << i, by comparisons (a max() call per byte costs more).
         reach = [bytes(n)]
-        for b in range(1, 1 << n):
-            low = b & -b
-            reach.append(bytes(map(max, reach[b ^ low], elem[low.bit_length() - 1])))
+        for e in elem:
+            reach += [bytes([x if x > y else y for x, y in zip(r, e)]) for r in reach]
         subsets = tuple(self.frame.subsets())
         position = {m: k for k, m in enumerate(subsets)}
         overrides = {

@@ -109,19 +109,21 @@ def brute_residual(
     """The degree-weighted product cells and the residual conflict K_D.
 
     Works on plain ``{mask: weight}`` dicts and the plain degree dicts of
-    :func:`brute_degree`: every focal pair's product goes to B&C when the
-    pair intersects; otherwise ``degree * product`` goes to B|C and the rest
-    to K_D.  Cells that received nothing are left out.  It never calls the
-    package.
+    :func:`brute_degree`: every focal pair's product ``w1 * w2`` goes to B&C
+    when the pair intersects; otherwise ``degree * product`` goes to B|C and
+    ``(1 - degree) * product`` to K_D.  Each cell and K_D is the fsum of its
+    terms, so the kernel, rounding the same products, matches it bit for bit.
+    Cells that received nothing are left out.  It never calls the package.
     """
     parts: dict[int, list[float]] = {}
     conflict = []
     for b, w1 in m1.items():
         for c, w2 in m2.items():
             u = brute_degree(pairs, overrides, b, c)
+            prod = w1 * w2
             target = b & c or b | c
-            parts.setdefault(target, []).append(u * w1 * w2)
-            conflict.append((1.0 - u) * w1 * w2)
+            parts.setdefault(target, []).append(u * prod)
+            conflict.append((1.0 - u) * prod)
     cells = {a: fsum(v) for a, v in parts.items() if fsum(v)}
     return cells, fsum(conflict)
 

@@ -784,6 +784,48 @@ class TestLazyDegrees:
         self.assert_same(model.degree(("a", "c"), "b"), -0.0)
         self.assert_same(model.degree("b", ("a", "c")), -0.0)
 
+    @pytest.mark.parametrize("size", range(16, 25))
+    def test_reach_rows_match_the_brute_force_oracle(self, size):
+        # One element (the table row itself), two, three, any, and all but one.
+        _, _, pairs, _, model = sparse_case(5000 + size, size)
+        rng = random.Random(size)
+        full = model.frame.full_mask
+        subsets = [1 << i for i in range(size)] + [full ^ 1 << i for i in range(size)]
+        subsets += [sum(1 << i for i in rng.sample(range(size), k)) for k in (2, 3) for _ in range(size)]
+        subsets += [rng.randint(1, full) for _ in range(size)]
+        for b in subsets:
+            reach = model._degrees_from(b)[0]
+            for j in bit_indices(full ^ b):
+                self.assert_same(reach[j], brute_degree(pairs, {}, b, 1 << j))
+
+    def assert_exact_kernel(self, m1, m2, pairs, overrides, model) -> None:
+        """The kernel's cells, K_D and K are the oracles' fsums, signs included."""
+        d1, d2 = DNumber(model.frame, m1), DNumber(model.frame, m2)
+        cells, k_d = brute_residual(m1, m2, pairs, overrides)
+        masses, kd, k = classical._products(d1, d2, model._degrees_from)
+        assert masses == cells and repr(sorted(masses.items())) == repr(sorted(cells.items()))
+        self.assert_same(kd, k_d)
+        self.assert_same(k, brute_conflict(m1, m2))
+
+    @pytest.mark.parametrize("size", range(16, 25))
+    def test_kernel_equals_the_residual_oracle_exactly(self, size):
+        m1, m2, pairs, overrides, model = sparse_case(8000 + size, size)
+        assert -0.0 in pairs.values()
+        assert {repr(d) for d in overrides.values()} >= {"0.0", "-0.0", "1.0"}
+        self.assert_exact_kernel(m1, m2, pairs, overrides, model)
+
+    def test_kernel_is_exact_on_tied_degrees_and_single_elements(self, abc):
+        # {a} and {b, c} meet at two tied pair degrees, {c} and {a, b} at 1.0,
+        # and an override of 0.0 parts {b} and {c}.
+        pairs = {(0, 1): 0.3, (0, 2): 0.3, (1, 2): 1.0}
+        overrides = {(2, 4): 0.0}
+        m1 = {1: 0.1, 2: 0.2, 6: 0.3, 4: 0.4}
+        m2 = {6: 0.15, 1: 0.35, 4: 0.05, 3: 0.45}
+        model = NonExclusivityModel(
+            abc, {("abc"[i], "abc"[j]): d for (i, j), d in pairs.items()}, {("c", "b"): 0.0}
+        )
+        self.assert_exact_kernel(m1, m2, pairs, overrides, model)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_kernel_matches_the_residual_oracle(self, seed):
         m1, m2, pairs, overrides, model = sparse_case(6000 + seed, 20)
