@@ -44,16 +44,10 @@ MAX_FRAME_SIZE = 24
 SubsetLike = Union[int, str, Iterable[str]]
 
 
-#: Each byte value with its eight bits in reverse order, for ``Frame.sort_key``,
-#: which reverses the three bytes of a ``MAX_FRAME_SIZE`` = 24 bit mask.
-_REVERSED_BYTE = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-#: The low ``MAX_FRAME_SIZE`` bits of a canonical sort key, all set.
-_KEY_LOW = (1 << MAX_FRAME_SIZE) - 1
-
-#: ``255 - reversed(b)`` for each byte b, its own inverse; and the offsets of the
-#: bytes of weight 2^0, 2^8, 2^16 and 2^24 in an ``array("I")`` item.
-_FLIPPED_BYTE = bytes(255 - b for b in _REVERSED_BYTE)
+#: Each byte b with its eight bits reversed, then flipped, ``255 - reversed(b)``:
+#: its own inverse; and the offsets of the bytes of weight 2^0, 2^8, 2^16 and
+#: 2^24 in an ``array("I")`` item.
+_FLIPPED_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 _BYTE_AT = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
 
 
@@ -162,14 +156,11 @@ class Frame:
         the lowest differing element gets the larger reversal and the smaller
         key.  Keys are distinct, and their order equals that of the tuple
         ``(cardinality, ascending element indices)``; the empty set sorts
-        first.  The reversal is three lookups in a byte table.
+        first.  It is ``_canonical``'s byte transform applied to one mask; a
+        mask outside this frame raises ForeignSubset.
         """
-        rev = (
-            _REVERSED_BYTE[mask & 0xFF] << 16
-            | _REVERSED_BYTE[mask >> 8 & 0xFF] << 8
-            | _REVERSED_BYTE[mask >> 16]
-        )
-        return (mask.bit_count() << MAX_FRAME_SIZE) | (_KEY_LOW - rev)
+        mask = self.coerce(mask)
+        return _shuffle(array("I", [mask]), bytes([mask.bit_count()]))[0]
 
     def subsets(self) -> Iterator[int]:
         """All non-empty subsets in canonical order, generated lazily.

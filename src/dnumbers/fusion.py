@@ -205,13 +205,12 @@ class NonExclusivityModel:
                 f"{2 ** n - 1}x{2 ** n - 1} matrix; "
                 f"the cap is {MAX_MATRIX_FRAME_SIZE} elements"
             )
-        # Every pair degree, plus 0.0 and 1.0, as one byte: its rank in the
-        # sorted distinct values.  At the cap that is at most 2 + 66 ranks.
-        values = sorted({0.0, 1.0, *self._pairs.values()})
+        # Every degree of the table that _degree and _degrees_from read, plus
+        # 0.0 and 1.0, as one byte: its rank in the sorted distinct values, at
+        # most 2 + 66 at the cap.  The table holds no -0.0; its zeros take rank 0.
+        values = sorted({0.0, 1.0}.union(*self._elem))
         rank = {v: r for r, v in enumerate(values)}
-        elem = [bytearray(n) for _ in range(n)]
-        for (i, j), d in self._pairs.items():
-            elem[i][j] = elem[j][i] = rank[d]
+        elem = [bytes(map(rank.__getitem__, row)) for row in self._elem]
         # raise_to[r] maps a rank x to max(x, r).
         raise_to = [bytes([r]) * r + bytes(range(r, 256)) for r in range(len(values))]
         # reach[B][j]: rank of the degree between element j outside B and

@@ -162,17 +162,8 @@ class TestDisjunctiveOracle:
         result = self.check(d1, DNumber(abc, {("b", "c"): tiny, ("b",): 1.0}))
         assert result.weight(abc.full_mask) == 2.0**-1074
 
-    def test_forced_compaction(self, monkeypatch):
-        squeezed = []
-        squeeze = classical._squeeze
-
-        def counted(v):
-            squeezed.append(len(v))
-            return squeeze(v)
-
-        monkeypatch.setattr(classical, "_squeeze", counted)
-        monkeypatch.setattr(classical, "_SQUEEZE_CONFLICT", 0)
-        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
+    def test_forced_compaction(self, forced_compaction):
+        squeezed = forced_compaction()
         for d1, d2 in self.seeded_pairs(1617):
             self.check(d1, d2)
         assert max(squeezed) > 8

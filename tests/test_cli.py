@@ -219,10 +219,8 @@ def test_combine_matches_all_rule_golden(capsys, key):
     assert {"exit": code, "stdout": out, "stderr": err} == COMBINE_GOLDEN[key]
 
 
-def test_combine_goldens_hold_under_forced_compaction(capsys, monkeypatch):
-    # Both squeeze thresholds at 0: the kernel squeezes after every outer row.
-    monkeypatch.setattr(classical, "_SQUEEZE_CONFLICT", 0)
-    monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
+def test_combine_goldens_hold_under_forced_compaction(capsys, forced_compaction):
+    forced_compaction()
     assert len(COMBINE_CASES) == 120
     for key, argv in COMBINE_CASES.items():
         code, out, err = run(capsys, *argv)

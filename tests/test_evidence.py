@@ -24,6 +24,13 @@ def canonical(mask: int) -> tuple[int, tuple[int, ...]]:
     return (len(indices), indices)
 
 
+def formula_key(mask: int) -> int:
+    """``Frame.sort_key``'s documented value, ``(popcount << W) | (2^W - 1 -
+    bitreverse_W(mask))``, with the reversal spelled as a string."""
+    reversed_bits = int(f"{mask:0{MAX_FRAME_SIZE}b}"[::-1], 2)
+    return mask.bit_count() << MAX_FRAME_SIZE | ((1 << MAX_FRAME_SIZE) - 1 - reversed_bits)
+
+
 def naive_bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -93,6 +100,7 @@ class TestFrame:
         masks = range(frame.full_mask + 1)
         expected = sorted(masks, key=canonical)
         assert sorted(masks, key=frame.sort_key) == expected
+        assert list(map(frame.sort_key, masks)) == list(map(formula_key, masks))
         assert _canonical(masks) == expected
         assert list(frame.subsets()) == _canonical(range(1, frame.full_mask + 1))
 
@@ -106,7 +114,16 @@ class TestFrame:
         assert len(set(masks)) < len(masks)
         expected = sorted(masks, key=canonical)
         assert sorted(masks, key=frame.sort_key) == expected
+        assert list(map(frame.sort_key, masks)) == list(map(formula_key, masks))
         assert _canonical(masks) == expected
+
+    @pytest.mark.parametrize("size", [3, MAX_FRAME_SIZE])
+    def test_sort_key_rejects_masks_outside_the_frame(self, size):
+        frame = frame_of(size)
+        assert frame.sort_key(0) == (1 << MAX_FRAME_SIZE) - 1
+        for mask in (frame.full_mask + 1, -1, 1 << 24, 1 << 32):
+            with pytest.raises(ForeignSubset):
+                frame.sort_key(mask)
 
     def test_subsets_come_in_canonical_order(self):
         frame = frame_of(10)

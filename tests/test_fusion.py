@@ -292,6 +292,22 @@ class TestMatrix:
         # Every column but the whole frame's, which meets every row.
         assert len(set(map(id, cells))) == len(set(cells)) == len(ranked.subsets) - 1
 
+    @pytest.mark.parametrize(
+        "labels, pairs",
+        [
+            (["a"], {}),
+            (list("abc"), {("a", "b"): 0.0, ("b", "c"): -0.0}),
+            (list("abc"), {("a", "b"): -0.0, ("a", "c"): 0.0}),
+            (list("abc"), {("a", "b"): 1.0, ("b", "c"): 0.25}),
+            (list("abcd"), {("a", "b"): 0.5, ("c", "d"): 0.5, ("a", "d"): 0.25, ("b", "c"): 0.25}),
+        ],
+    )
+    def test_ranked_values_are_the_listed_degrees_with_zero_and_one(self, labels, pairs):
+        model = NonExclusivityModel(Frame(labels), pairs)
+        values = model._ranked().values
+        assert values == tuple(sorted({0.0, 1.0, *model.element_degrees.values()}))
+        assert repr(values[0]) == "0.0"
+
     def test_exclusive_is_exact_complement_with_overrides(self):
         model = self._model_with_overrides(4100, 6)
         assert model.subset_overrides
@@ -984,22 +1000,7 @@ class TestForcedCompaction:
                 seen.append(f"{name}: {exc!r}")
         return seen
 
-    @staticmethod
-    def force(monkeypatch) -> list[int]:
-        """Set both thresholds to 0; the lengths of the lists squeezed from then on."""
-        squeezed = []
-        squeeze = classical._squeeze
-
-        def counted(v):
-            squeezed.append(len(v))
-            return squeeze(v)
-
-        monkeypatch.setattr(classical, "_squeeze", counted)
-        monkeypatch.setattr(classical, "_SQUEEZE_CONFLICT", 0)
-        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
-        return squeezed
-
-    def test_seeded_pairs_keep_their_repr(self, monkeypatch):
+    def test_seeded_pairs_keep_their_repr(self, forced_compaction):
         rng = random.Random(1313)
         cases = []
         for size in range(1, 13):
@@ -1008,18 +1009,18 @@ class TestForcedCompaction:
                 d1, d2 = spread_dnumber(rng, frame, 80), spread_dnumber(rng, frame, 80)
                 cases.append((d1, d2, random_model(rng, frame)))
         expected = [self.outcomes(*case) for case in cases]
-        squeezed = self.force(monkeypatch)
+        squeezed = forced_compaction()
         assert [self.outcomes(*case) for case in cases] == expected
         assert max(squeezed) > 8
 
-    def test_golden_inputs_keep_their_repr(self, monkeypatch):
+    def test_golden_inputs_keep_their_repr(self, forced_compaction):
         cases = [case[1:] for case in TestClassicalSteps.golden_inputs()]
         expected = [self.outcomes(*case) for case in cases]
-        squeezed = self.force(monkeypatch)
+        squeezed = forced_compaction()
         assert [self.outcomes(*case) for case in cases] == expected
         assert squeezed
 
-    def test_cells_are_squeezed_without_disjoint_pairs(self, monkeypatch):
+    def test_cells_are_squeezed_without_disjoint_pairs(self, forced_compaction):
         # Every focal set holds e0, so no pair is disjoint and every squeeze
         # is a compaction of the cells.
         rng = random.Random(17)
@@ -1029,7 +1030,7 @@ class TestForcedCompaction:
             for _ in range(2)
         )
         expected = repr(classical._products(d1, d2, classical._exclusive))
-        squeezed = self.force(monkeypatch)
+        squeezed = forced_compaction()
         assert repr(classical._products(d1, d2, classical._exclusive)) == expected
         assert squeezed and min(squeezed) > 8
 
@@ -1080,7 +1081,7 @@ class TestBareFloatCells:
         assert masses[A] == 2.0**-1060
         assert masses[A | D] == masses[A | C | D] == 2.0**-1071
 
-    def test_lists_from_a_second_product_on_survive_forced_squeezes(self, monkeypatch):
+    def test_lists_from_a_second_product_on_survive_forced_squeezes(self, forced_compaction):
         # Cell {a, b, c} gets one product, three cells get two, and the
         # single-element cells 24 to 26, which are squeezed after every row.
         rng = random.Random(14)
@@ -1095,7 +1096,7 @@ class TestBareFloatCells:
         d1, d2 = DNumber(frame, m1), DNumber(frame, m2)
         expected = self.sorted_repr(brute_dempster(dict(d1.items()), dict(d2.items())))
         assert self.sorted_repr(dempster(d1, d2).masses) == expected
-        squeezed = TestForcedCompaction.force(monkeypatch)
+        squeezed = forced_compaction()
         assert self.sorted_repr(dempster(d1, d2).masses) == expected
         assert max(squeezed) > 8
 
