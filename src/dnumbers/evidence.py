@@ -51,14 +51,16 @@ _FLIPPED_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 _BYTE_AT = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
 
 
+#: ``bit_indices`` of each value of bytes 0, 1 and 2 of a mask, built by doubling:
+#: entry b + 2^k of a byte's table is entry b with that byte's bit k added.
+_BITS0, _BITS1, _BITS2 = _BYTE_BITS = ([()], [()], [()])
+for _bit in range(MAX_FRAME_SIZE):
+    _BYTE_BITS[_bit >> 3].extend([bits + (_bit,) for bits in _BYTE_BITS[_bit >> 3]])
+
+
 def bit_indices(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """Positions of the set bits of ``mask``, ascending; a mask of 2^24 or more raises IndexError."""
+    return _BITS0[mask & 255] + _BITS1[mask >> 8 & 255] + _BITS2[mask >> 16]
 
 
 def _shuffle(items: array, top: bytes) -> array:

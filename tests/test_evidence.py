@@ -35,6 +35,16 @@ def naive_bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def loop_bit_indices(mask: int) -> tuple[int, ...]:
+    """The loop that ``bit_indices`` replaced: peel off the lowest set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def frame_of(size: int) -> Frame:
     return Frame([f"e{i}" for i in range(size)])
 
@@ -158,6 +168,14 @@ class TestFrame:
         for _ in range(20000):
             mask = rng.getrandbits(MAX_FRAME_SIZE)
             assert bit_indices(mask) == naive_bit_indices(mask)
+
+    def test_bit_indices_agrees_with_the_loop_below_the_cap_and_raises_at_it(self):
+        rng = random.Random(2416)
+        masks = [*range(1 << 16), *(rng.getrandbits(MAX_FRAME_SIZE) for _ in range(20000))]
+        for mask in masks + [(1 << MAX_FRAME_SIZE) - 1]:
+            assert bit_indices(mask) == loop_bit_indices(mask)
+        with pytest.raises(IndexError):
+            bit_indices(1 << MAX_FRAME_SIZE)
 
     def test_equality_is_by_labels(self):
         assert Frame(["a", "b"]) == Frame(["a", "b"])
