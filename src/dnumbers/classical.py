@@ -10,10 +10,9 @@ pass at degree 0 over the complemented focal sets, so every rule runs one
 kernel pass.  Cell sums use ``math.fsum``, so every rule is exactly
 commutative.  The rules and K are checked against independent brute-force
 oracles, ``brute_dempster``, ``brute_disjunctive`` and ``brute_conflict`` in
-the tests.  Long lists of pending products are squeezed into short exact
-expansions (:func:`_squeeze`), with the same ``fsum`` bit for bit, so the
-kernel's memory follows the cells, not the pairs, up to one outer row's
-products.
+the tests.  Once per 2^17 products, long lists of pending products are
+squeezed into short exact expansions (:func:`_squeeze`) with the same
+``fsum`` bit for bit, so the kernel's memory follows the cells, not the pairs.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ TOTAL_CONFLICT_TOLERANCE = 1e-12
 #: beyond it a rule raises TooManyFocalPairs before any product is formed.
 MAX_FOCAL_PAIRS = 1 << 20
 
-#: After an outer row, conflict lists longer than this are squeezed, and so is
-#: every long cell list once the cells took this many products since the last.
-_SQUEEZE_CONFLICT, _SQUEEZE_CELLS = 1 << 10, 1 << 17
+#: After the outer row that takes the products since the last squeeze past
+#: this many, the conflict lists and every cell list of over 8 floats are squeezed.
+_SQUEEZE_CELLS = 1 << 17
 
 
 def _squeeze(v: list[float]) -> None:
@@ -47,16 +46,6 @@ def _squeeze(v: list[float]) -> None:
         kept.append(s)
         v.append(-s)
     v[:] = kept
-
-
-def _compact(cells: dict[int, float | list[float]], added: int) -> int:
-    """Squeeze cell lists of over 8 floats once ``added`` > ``_SQUEEZE_CELLS``; the count left."""
-    if added <= _SQUEEZE_CELLS:
-        return added
-    for v in cells.values():
-        if type(v) is list and len(v) > 8:
-            _squeeze(v)
-    return 0
 
 
 def _check_pair_budget(m1: Mapping[int, float], m2: Mapping[int, float]) -> None:
@@ -84,10 +73,9 @@ def _products(
     rarely conflict build few rows.  The degree of C is then its override, or
     the largest reach over C's elements.  A cell holds its first product as a
     bare float and becomes a list at its second (products are never -0.0, so
-    the float is its own ``fsum``).  Cell lists and both conflicts are
-    fsum-reduced, making the outcome independent of operand order.  Lists are
-    squeezed after each outer row (:func:`_compact`), so the bounds hold up to
-    one row's products; the cells are reduced in the dict that held them.
+    the float is its own ``fsum``).  Long lists are squeezed every few rows
+    (``_SQUEEZE_CELLS``), then cell lists (in the dict that held them) and
+    both conflicts are fsum-reduced, independent of operand order.
     """
     _check_pair_budget(m1, m2)
     cells: dict = {}
@@ -96,8 +84,9 @@ def _products(
     disjoint: list[float] = []
     constant = not callable(rows)
     columns = [(c, w2, None if constant else bit_indices(c)) for c, w2 in m2.items()]
-    added = 0
-    for b, w1 in m1.items():
+    # Rows per squeeze: the fewest whose products pass _SQUEEZE_CELLS.
+    every = _SQUEEZE_CELLS // max(len(columns), 1) + 1
+    for row, (b, w1) in enumerate(m1.items(), 1):
         over = None
         for c, w2, indices in columns:
             prod = w1 * w2
@@ -127,10 +116,13 @@ def _products(
                 old.append(prod)
             elif old is not prod:  # a fresh product is never the float already there
                 cells[cell] = [old, prod]
-        if len(disjoint) > _SQUEEZE_CONFLICT:
-            _squeeze(disjoint)
-            _squeeze(conflict)
-        added = _compact(cells, added + len(columns))
+        if row % every == 0:
+            if disjoint:
+                _squeeze(disjoint)
+                _squeeze(conflict)
+            for v in cells.values():
+                if type(v) is list and len(v) > 8:
+                    _squeeze(v)
     for a, v in cells.items():
         if type(v) is list:
             cells[a] = fsum(v)
@@ -217,10 +209,8 @@ def _dempster(m1: DNumber, m2: DNumber) -> tuple[DNumber, float]:
     masses, _, k = _products(m1, m2, _exclusive)
     if k >= 1.0 - TOTAL_CONFLICT_TOLERANCE:
         raise TotalConflict(f"global conflict K = {k!r}; combination is undefined")
-    denom = 1.0 - k
-    for a, v in masses.items():
-        masses[a] = v / denom
-    return DNumber._from_masks(m1.frame, masses), k
+    order, denom = _canonical(masses), 1.0 - k
+    return DNumber._from_cells(m1.frame, masses, order, [masses[a] / denom for a in order]), k
 
 
 def yager(m1: DNumber, m2: DNumber) -> DNumber:

@@ -272,12 +272,13 @@ class DNumber:
                 raise MassOverflow(f"single weight {w!r} exceeds 1")
             if w > 0.0:
                 acc[mask] = acc.get(mask, 0.0) + w
-        self._fill(frame, acc)
-
-    def _fill(self, frame: Frame, acc: Mapping[int, float]) -> "DNumber":
         order = _canonical(acc)
+        self._fill(frame, order, map(acc.__getitem__, order))
+
+    def _fill(self, frame: Frame, order: Iterable[int], weights: Iterable[float]) -> "DNumber":
+        """The masks of canonical ``order`` with their ``weights``; a total above 1 raises."""
         self.frame = frame
-        self._masses = dict(zip(order, map(acc.__getitem__, order)))
+        self._masses = dict(zip(order, weights))
         self._q = fsum(self._masses.values())
         if self._q > 1.0 + EPSILON:
             raise MassOverflow(f"total mass {self._q!r} exceeds 1")
@@ -286,12 +287,21 @@ class DNumber:
     @classmethod
     def _from_masks(cls, frame: Frame, masses: Mapping[int, float]) -> "DNumber":
         """A rule's int-keyed masses, checked in bulk; masks outside (0, full_mask]
-        or weights not floats in (0, 1 + EPSILON] go through the constructor."""
-        weights = masses.values()
-        positive = masses and set(map(type, weights)) == {float} and all(map((0.0).__lt__, weights))
-        if positive and max(weights) <= 1.0 + EPSILON and 0 < min(masses) and max(masses) <= frame.full_mask:
-            return cls.__new__(cls)._fill(frame, masses)
+        go through the constructor, and so do weights that ``_from_cells`` rejects."""
+        if masses and 0 < min(masses) and max(masses) <= frame.full_mask:
+            order = _canonical(masses)
+            return cls._from_cells(frame, masses, order, list(map(masses.__getitem__, order)))
         return cls(frame, masses)
+
+    @classmethod
+    def _from_cells(cls, frame: Frame, cells: Iterable[int], order: list[int], weights: list[float]) -> "DNumber":
+        """A rule's ``weights`` for its masks ``cells``, all in (0, full_mask], in their
+        canonical ``order``.  Weights that are not floats in (0, 1 + EPSILON] go through
+        the constructor in the order of ``cells``, so it reports the first one there."""
+        if set(map(type, weights)) == {float} and all(map((0.0).__lt__, weights)) and max(weights) <= 1.0 + EPSILON:
+            return cls.__new__(cls)._fill(frame, order, weights)
+        weight = dict(zip(order, weights))
+        return cls(frame, {a: weight[a] for a in cells})
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "DNumber":

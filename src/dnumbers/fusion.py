@@ -38,7 +38,7 @@ from .errors import (
     OutOfRangeValue,
     TotalConflict,
 )
-from .evidence import DNumber, Frame, Record, SubsetLike, bit_indices
+from .evidence import DNumber, Frame, Record, SubsetLike, _canonical, bit_indices
 
 #: Largest frame for which the full (2^N - 1)-squared degree matrix may be
 #: materialized; degree lookups themselves are lazy and uncapped.
@@ -507,9 +507,8 @@ def dcr2(
             f"no mass survives the combination (sum of D_t = {total!r})"
         )
     f_value = f(q1, q2)
-    for a, v in masses.items():
-        masses[a] = f_value * (v / total)
-    result = DNumber._from_masks(d1.frame, masses)
+    order = _canonical(masses)
+    result = DNumber._from_cells(d1.frame, masses, order, [f_value * (masses[a] / total) for a in order])
     return FusionReport(result, "dcr2", q1, q2, k_d=k_d, d_t_total=total, f_value=f_value, k=k)
 
 

@@ -29,12 +29,11 @@ def partial_sources(abc) -> tuple[DNumber, DNumber]:
 
 
 @pytest.fixture
-def forced_compaction(monkeypatch):
-    """A function that sets both squeeze thresholds to 0, so the kernel squeezes
-    its lists after every outer row, and returns the lengths of the lists
-    squeezed from then on.  Results computed before the call are unforced."""
+def counted_squeezes(monkeypatch):
+    """A function that wraps the kernel's ``_squeeze`` and returns the lengths
+    of the lists squeezed from then on."""
 
-    def force() -> list[int]:
+    def count() -> list[int]:
         squeezed = []
         squeeze = classical._squeeze
 
@@ -43,8 +42,19 @@ def forced_compaction(monkeypatch):
             return squeeze(v)
 
         monkeypatch.setattr(classical, "_squeeze", counted)
-        monkeypatch.setattr(classical, "_SQUEEZE_CONFLICT", 0)
-        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
         return squeezed
+
+    return count
+
+
+@pytest.fixture
+def forced_compaction(monkeypatch, counted_squeezes):
+    """A function that sets the squeeze threshold to 0, so the kernel squeezes
+    its lists after every outer row, and returns the lengths of the lists
+    squeezed from then on.  Results computed before the call are unforced."""
+
+    def force() -> list[int]:
+        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 0)
+        return counted_squeezes()
 
     return force

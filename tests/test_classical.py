@@ -317,3 +317,55 @@ class TestSqueeze:
     def test_short_and_cancelling_lists(self, v, partials):
         classical._squeeze(v)
         assert v == partials
+
+
+class TestCompactionSchedule:
+    """The kernel squeezes its lists after the row that takes the products
+    since the last squeeze past ``_SQUEEZE_CELLS``, and only then: the
+    conflict lists when any pair was disjoint, and every cell list of over 8
+    floats.  Forced to 0, the threshold makes that every row."""
+
+    @staticmethod
+    def halves(rows: int, columns: int) -> tuple[dict[int, float], dict[int, float]]:
+        """Plain operands: every row holds element 0, and so does every other
+        column, whose products all land on the cell {0}; the other columns
+        lie above the rows' three bits, so half of each row's pairs are disjoint."""
+        rng = random.Random(rows * columns)
+        m1 = {2 * i + 1: rng.random() / rows for i in range(rows)}
+        m2 = {m << 3 | m & 1: rng.random() / columns for m in range(1, columns + 1)}
+        return m1, m2
+
+    def test_many_disjoint_products_below_the_threshold_make_no_squeeze(self, counted_squeezes):
+        # 120 x 120 sets of 1-3 elements over 20 elements: over 1,024
+        # disjoint products, but far fewer than 2^17 products in all.
+        rng = random.Random(23)
+        masks = [
+            {sum(1 << i for i in rng.sample(range(20), rng.randint(1, 3))) for _ in range(200)}
+            for _ in range(2)
+        ]
+        m1, m2 = ({m: 1 / len(ms) for m in sorted(ms)[:120]} for ms in masks)
+        assert sum(1 for b in m1 for c in m2 if not b & c) > 1024
+        squeezed = counted_squeezes()
+        for degree in (classical._exclusive, 0.5, classical._overlapping):
+            classical._products(m1, m2, degree)
+        assert squeezed == []
+
+    def test_the_row_past_the_threshold_squeezes_once(self, monkeypatch, counted_squeezes):
+        # Rows of 65,600 products: the second takes the count to 131,200,
+        # past 2^17 = 131,072, and the third stays below it again.
+        m1, m2 = self.halves(3, 65_600)
+        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 1 << 40)
+        unsqueezed = repr(classical._products(m1, m2, classical._exclusive))
+        monkeypatch.undo()
+        squeezed = counted_squeezes()
+        assert repr(classical._products(m1, m2, classical._exclusive)) == unsqueezed
+        assert squeezed == [65_600, 65_600, 65_600]
+
+    def test_forced_squeezes_follow_every_row(self, forced_compaction):
+        # Each row adds 20 disjoint products and 20 products on the cell {0}.
+        m1, m2 = self.halves(4, 40)
+        expected = repr(classical._products(m1, m2, classical._exclusive))
+        squeezed = forced_compaction()
+        assert repr(classical._products(m1, m2, classical._exclusive)) == expected
+        assert len(squeezed) == 3 * len(m1)
+        assert min(squeezed) >= 20

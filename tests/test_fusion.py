@@ -525,6 +525,10 @@ class TestDcr1:
         assert report.d_t_total is None and report.f_value is None
 
 
+class Tagged(float):
+    """A float subclass, as a caller may give one for a weight, a degree or f."""
+
+
 class TestDcr2:
     def test_partial_sources_worked_example(self, overlap_model, partial_sources):
         d1, d2 = partial_sources
@@ -642,6 +646,39 @@ class TestDcr2:
         assert report.result == DNumber(abc)
         assert list(report.result.items()) == []
         assert report.result.q_value == 0.0
+
+    # The kernel makes the cells {a, b}, {b, c} and {b}, in that order, which
+    # is not canonical order: a faulty f must be reported on the first weight
+    # in the kernel's order, as the constructor reads it.  Under f = 1e-320
+    # the {b, c} weight underflows to 0.0 and is dropped.
+    @pytest.mark.parametrize(
+        "value, outcome",
+        [
+            (5.0, "MassOverflow: single weight 1.25 exceeds 1"),
+            (-0.5, "NegativeWeight: weight -0.125 is not a number in [0, 1]"),
+            (float("nan"), "NegativeWeight: weight nan is not a number in [0, 1]"),
+            (float("inf"), "MassOverflow: single weight inf exceeds 1"),
+            (Tagged(0.5), "{b}: 0.3749999999, {a,b}: 0.125, {b,c}: 1e-10 / f_value=0.5"),
+            (1, "{b}: 0.7499999998, {a,b}: 0.25, {b,c}: 2e-10 / f_value=1"),
+            (0.0, " / f_value=0.0"),
+            (1e-320, "{b}: 7.5e-321, {a,b}: 2.5e-321 / f_value=1e-320"),
+        ],
+        ids=["five", "negative", "nan", "inf", "float-subclass", "int-one", "zero", "subnormal"],
+    )
+    def test_unusual_aggregator_values(self, abc, value, outcome):
+        model = NonExclusivityModel(abc, {("a", "b"): 1.0, ("b", "c"): 1.0})
+        d1 = DNumber(abc, {("a",): 0.25, ("b", "c"): 0.75 - 2e-10, ("c",): 2e-10})
+        d2 = DNumber(abc, {("b",): 1.0})
+        assert list(classical._products(d1, d2, model._degrees_from)[0]) == [0b011, 0b110, 0b010]
+        try:
+            report = dcr2(d1, d2, model, CompletenessAggregator("unusual", lambda q1, q2: value))
+        except FusionError as exc:
+            assert f"{type(exc).__name__}: {exc}" == outcome
+            return
+        assert f"{repr(report.result).removeprefix('DNumber(')[:-1]} / f_value={report.f_value!r}" == outcome
+        assert report.f_value is value
+        assert {type(w) for _, w in report.result.items()} <= {float}
+        assert (report.k_d, report.d_t_total, report.k) == (0.0, 1.0, 0.2500000002)
 
 
 class TestExactOracle:
@@ -987,7 +1024,7 @@ def spread_dnumber(rng: random.Random, frame: Frame, max_focal: int) -> DNumber:
 
 
 class TestForcedCompaction:
-    """With both squeeze thresholds at their minimum, the kernel squeezes its
+    """With the squeeze threshold at its minimum, the kernel squeezes its
     lists after every outer row; every step, K and K_D keep their ``repr``."""
 
     @staticmethod
@@ -1033,6 +1070,44 @@ class TestForcedCompaction:
         squeezed = forced_compaction()
         assert repr(classical._products(d1, d2, classical._exclusive)) == expected
         assert squeezed and min(squeezed) > 8
+
+
+class TestKernelCells:
+    """What ``DNumber._from_cells`` takes on trust from the kernel: every cell
+    of ``_products`` lies in (0, full_mask] and holds an exact ``float``."""
+
+    def test_seeded_cells_are_non_empty_masks_with_float_values(self):
+        rng = random.Random(2323)
+        complemented_frames = 0
+        for size in range(1, 9):
+            frame = Frame([f"e{i}" for i in range(size)])
+            full, labels = frame.full_mask, frame.labels
+            # Degrees given as ints and as a float subclass, which the model stores as floats.
+            degrees = [0, 1, Tagged(0.5)]
+            pairs = {
+                (a, b): degrees[(i + j) % 3]
+                for i, a in enumerate(labels)
+                for j, b in enumerate(labels)
+                if i < j
+            }
+            given = NonExclusivityModel(frame, pairs, {((labels[0],), labels[1:]): 1} if size > 1 else None)
+            for _ in range(25):
+                d1, d2 = (spread_dnumber(rng, frame, 40) for _ in range(2))
+                # disjunctive's operands: the complements, where the frame's is 0.
+                flipped = [{full ^ b: w for b, w in d.items()} for d in (d1, d2)]
+                complemented_frames += sum(0 in m for m in flipped)
+                runs = [
+                    (d1, d2, classical._exclusive),
+                    (d1, d2, classical._overlapping),
+                    (d1, d2, random_model(rng, frame)._degrees_from),
+                    (d1, d2, given._degrees_from),
+                    (*flipped, classical._exclusive),
+                ]
+                for m1, m2, rows in runs:
+                    cells = classical._products(m1, m2, rows)[0]
+                    assert all(0 < a <= full for a in cells)
+                    assert {type(v) for v in cells.values()} <= {float}
+        assert complemented_frames
 
 
 class TestBareFloatCells:
