@@ -10,13 +10,14 @@ pass at degree 0 over the complemented focal sets, so every rule runs one
 kernel pass.  Cell sums use ``math.fsum``, so every rule is exactly
 commutative.  The rules and K are checked against independent brute-force
 oracles, ``brute_dempster``, ``brute_disjunctive`` and ``brute_conflict`` in
-the tests.  Once per 2^17 products, long lists of pending products are
-squeezed into short exact expansions (:func:`_squeeze`) with the same
-``fsum`` bit for bit, so the kernel's memory follows the cells, not the pairs.
+the tests.  The kernel keeps every product it must add as an 8-byte double
+and reduces each cell and both conflicts with one ``fsum`` at the end, which
+is correctly rounded however the doubles are grouped.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import fsum
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -31,21 +32,6 @@ TOTAL_CONFLICT_TOLERANCE = 1e-12
 #: Most focal pairs, |F1| * |F2|, that one two-source combination may visit;
 #: beyond it a rule raises TooManyFocalPairs before any product is formed.
 MAX_FOCAL_PAIRS = 1 << 20
-
-#: After the outer row that takes the products since the last squeeze past
-#: this many, the conflict lists and every cell list of over 8 floats are squeezed.
-_SQUEEZE_CELLS = 1 << 17
-
-
-def _squeeze(v: list[float]) -> None:
-    """Shrink ``v``, in place, to at most about 40 floats with its exact sum:
-    ``fsum`` is correctly rounded, so ``v + [-fsum(v)]`` sums exactly to the
-    remainder, 2^53 times smaller (Shewchuk 1997)."""
-    kept = []
-    while s := fsum(v):
-        kept.append(s)
-        v.append(-s)
-    v[:] = kept
 
 
 def _check_pair_budget(m1: Mapping[int, float], m2: Mapping[int, float]) -> None:
@@ -72,27 +58,27 @@ def _products(
     and overrides, asked for at B's first disjoint partner, so sources that
     rarely conflict build few rows.  The degree of C is then its override, or
     the largest reach over C's elements.  A cell holds its first product as a
-    bare float and becomes a list at its second (products are never -0.0, so
-    the float is its own ``fsum``).  Long lists are squeezed every few rows
-    (``_SQUEEZE_CELLS``), then cell lists (in the dict that held them) and
-    both conflicts are fsum-reduced, independent of operand order.
+    bare float and becomes an ``array("d")`` at its second (products are never
+    -0.0, so the float is its own ``fsum``).  Each row's disjoint and
+    discounted-conflict products go into two lists, cheaper to append to than
+    arrays, and then into two ``array("d")`` buffers.  Every array holds 8
+    bytes per product and is fsum-reduced once, independent of operand order.
     """
     _check_pair_budget(m1, m2)
     cells: dict = {}
     put = cells.setdefault
-    conflict: list[float] = []
-    disjoint: list[float] = []
+    conflict, disjoint = array("d"), array("d")
     constant = not callable(rows)
     columns = [(c, w2, None if constant else bit_indices(c)) for c, w2 in m2.items()]
-    # Rows per squeeze: the fewest whose products pass _SQUEEZE_CELLS.
-    every = _SQUEEZE_CELLS // max(len(columns), 1) + 1
-    for row, (b, w1) in enumerate(m1.items(), 1):
+    for b, w1 in m1.items():
         over = None
+        row_conflict: list[float] = []
+        row_disjoint: list[float] = []
         for c, w2, indices in columns:
             prod = w1 * w2
             cell = b & c
             if not cell:
-                disjoint.append(prod)
+                row_disjoint.append(prod)
                 if indices is None:
                     u = rows
                 else:
@@ -107,24 +93,19 @@ def _products(
                             if reach[j] > u:
                                 u = reach[j]
                 if u < 1.0:
-                    conflict.append((1.0 - u) * prod)
+                    row_conflict.append((1.0 - u) * prod)
                 if u <= 0.0:
                     continue
                 cell, prod = b | c, u * prod
             old = put(cell, prod)
-            if type(old) is list:
+            if type(old) is array:
                 old.append(prod)
             elif old is not prod:  # a fresh product is never the float already there
-                cells[cell] = [old, prod]
-        if row % every == 0:
-            if disjoint:
-                _squeeze(disjoint)
-                _squeeze(conflict)
-            for v in cells.values():
-                if type(v) is list and len(v) > 8:
-                    _squeeze(v)
+                cells[cell] = array("d", (old, prod))
+        disjoint.fromlist(row_disjoint)
+        conflict.fromlist(row_conflict)
     for a, v in cells.items():
-        if type(v) is list:
+        if type(v) is array:
             cells[a] = fsum(v)
     return cells, fsum(conflict), fsum(disjoint)
 

@@ -284,7 +284,7 @@ def _decode(data: bytes | str, what: str) -> str:
     if isinstance(data, str):
         return data
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ScenarioSyntaxError(f"{what} is not valid UTF-8 ({exc})") from None
 

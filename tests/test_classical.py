@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import fsum, ldexp
+from math import fsum
 
 import pytest
 
@@ -162,12 +162,6 @@ class TestDisjunctiveOracle:
         result = self.check(d1, DNumber(abc, {("b", "c"): tiny, ("b",): 1.0}))
         assert result.weight(abc.full_mask) == 2.0**-1074
 
-    def test_forced_compaction(self, forced_compaction):
-        squeezed = forced_compaction()
-        for d1, d2 in self.seeded_pairs(1617):
-            self.check(d1, d2)
-        assert max(squeezed) > 8
-
 
 class TestDempster:
     def test_total_conflict_raises(self, sure_pair):
@@ -269,103 +263,29 @@ def exact_sum(values) -> Fraction:
     return Fraction(sum(n << 1075 - d.bit_length() for n, d in ratios), 1 << 1074)
 
 
-def spread_floats(rng: random.Random, count: int) -> list[float]:
-    """Signed floats over 35 decades, about 1e-26 to 5e9, with about one in
-    fifty a subnormal."""
-    values = [(rng.random() - 0.5) * 10.0 ** (35.0 * rng.random() - 25.0) for _ in range(count)]
-    for i in rng.sample(range(count), count // 50):
-        values[i] = ldexp(rng.random() - 0.5, rng.randint(-1073, -1022))
-    return values
+class TestExactSums:
+    """The kernel keeps every product it adds as a double and reduces each
+    cell, K and K_D with one ``fsum``, so each is the correctly rounded exact
+    sum of its products however many there are."""
 
+    def test_a_cell_k_and_k_d_of_over_2_17_products_each(self):
+        # Every column holds element 0, and so does every odd row: the odd
+        # rows' 135,000 products all land on the cell {0}, and the even rows'
+        # 135,000 are disjoint.  Products span 300 decades, and one in nine
+        # is the product of two weights in (0, 1), so a plain sum misses.
+        rng = random.Random(2417)
 
-class TestSqueeze:
-    """``_squeeze`` replaces a list by a short expansion with the same exact
-    sum, so the kernel's final ``fsum`` is unchanged bit for bit."""
+        def weight(i: int) -> float:
+            return rng.random() if i % 3 == 0 else 10.0 ** rng.uniform(-150.0, 0.0)
 
-    def test_exact_against_a_fraction_oracle(self):
-        rng = random.Random(1997)
-        longest = 0
-        for _ in range(2000):
-            v = spread_floats(rng, rng.randint(0, 3000))
-            tail = spread_floats(rng, rng.randint(0, 5))
-            partials = list(v)
-            classical._squeeze(partials)
-            assert exact_sum(partials) == exact_sum(v)
-            assert fsum(partials + tail).hex() == fsum(v + tail).hex()
-            longest = max(longest, len(partials))
-        assert longest <= 40
-
-    def test_the_widest_expansion_fits_in_40_partials(self):
-        # Powers of two 54 bits apart over the whole exponent range: no two of
-        # them share a float, so each needs a partial of its own.
-        v = [ldexp(1.0, e) for e in range(1000, -1075, -54)]
-        partials = list(v)
-        classical._squeeze(partials)
-        assert exact_sum(partials) == exact_sum(v)
-        assert len(partials) == len(v) == 39
-
-    @pytest.mark.parametrize(
-        "v, partials",
-        [
-            ([], []),
-            ([1e-300, 1.0, -1.0, -1e-300], []),
-            ([0.5, 0.25], [0.75]),
-            # 10 * 0.1 is 1 + 2^-54 exactly, which fsum rounds to 1.0.
-            ([0.1] * 10, [1.0, 2.0**-54]),
-        ],
-    )
-    def test_short_and_cancelling_lists(self, v, partials):
-        classical._squeeze(v)
-        assert v == partials
-
-
-class TestCompactionSchedule:
-    """The kernel squeezes its lists after the row that takes the products
-    since the last squeeze past ``_SQUEEZE_CELLS``, and only then: the
-    conflict lists when any pair was disjoint, and every cell list of over 8
-    floats.  Forced to 0, the threshold makes that every row."""
-
-    @staticmethod
-    def halves(rows: int, columns: int) -> tuple[dict[int, float], dict[int, float]]:
-        """Plain operands: every row holds element 0, and so does every other
-        column, whose products all land on the cell {0}; the other columns
-        lie above the rows' three bits, so half of each row's pairs are disjoint."""
-        rng = random.Random(rows * columns)
-        m1 = {2 * i + 1: rng.random() / rows for i in range(rows)}
-        m2 = {m << 3 | m & 1: rng.random() / columns for m in range(1, columns + 1)}
-        return m1, m2
-
-    def test_many_disjoint_products_below_the_threshold_make_no_squeeze(self, counted_squeezes):
-        # 120 x 120 sets of 1-3 elements over 20 elements: over 1,024
-        # disjoint products, but far fewer than 2^17 products in all.
-        rng = random.Random(23)
-        masks = [
-            {sum(1 << i for i in rng.sample(range(20), rng.randint(1, 3))) for _ in range(200)}
-            for _ in range(2)
-        ]
-        m1, m2 = ({m: 1 / len(ms) for m in sorted(ms)[:120]} for ms in masks)
-        assert sum(1 for b in m1 for c in m2 if not b & c) > 1024
-        squeezed = counted_squeezes()
-        for degree in (classical._exclusive, 0.5, classical._overlapping):
-            classical._products(m1, m2, degree)
-        assert squeezed == []
-
-    def test_the_row_past_the_threshold_squeezes_once(self, monkeypatch, counted_squeezes):
-        # Rows of 65,600 products: the second takes the count to 131,200,
-        # past 2^17 = 131,072, and the third stays below it again.
-        m1, m2 = self.halves(3, 65_600)
-        monkeypatch.setattr(classical, "_SQUEEZE_CELLS", 1 << 40)
-        unsqueezed = repr(classical._products(m1, m2, classical._exclusive))
-        monkeypatch.undo()
-        squeezed = counted_squeezes()
-        assert repr(classical._products(m1, m2, classical._exclusive)) == unsqueezed
-        assert squeezed == [65_600, 65_600, 65_600]
-
-    def test_forced_squeezes_follow_every_row(self, forced_compaction):
-        # Each row adds 20 disjoint products and 20 products on the cell {0}.
-        m1, m2 = self.halves(4, 40)
-        expected = repr(classical._products(m1, m2, classical._exclusive))
-        squeezed = forced_compaction()
-        assert repr(classical._products(m1, m2, classical._exclusive)) == expected
-        assert len(squeezed) == 3 * len(m1)
-        assert min(squeezed) >= 20
+        m1 = {i << 1 | i & 1: weight(i) for i in range(1, 601)}
+        m2 = {j << 11 | 1: weight(j) for j in range(1, 451)}
+        on_cell = [w1 * w2 for b, w1 in m1.items() if b & 1 for w2 in m2.values()]
+        apart = [w1 * w2 for b, w1 in m1.items() if not b & 1 for w2 in m2.values()]
+        assert len(on_cell) == len(apart) == 135_000 > 1 << 17
+        degree = 0.3
+        cells, k_d, k = classical._products(m1, m2, degree)
+        assert cells[1] == float(exact_sum(on_cell))
+        assert k == float(exact_sum(apart))
+        assert k_d == float(exact_sum((1.0 - degree) * p for p in apart))
+        assert len(cells) == 1 + len(apart)

@@ -219,14 +219,6 @@ def test_combine_matches_all_rule_golden(capsys, key):
     assert {"exit": code, "stdout": out, "stderr": err} == COMBINE_GOLDEN[key]
 
 
-def test_combine_goldens_hold_under_forced_compaction(capsys, forced_compaction):
-    forced_compaction()
-    assert len(COMBINE_CASES) == 120
-    for key, argv in COMBINE_CASES.items():
-        code, out, err = run(capsys, *argv)
-        assert {"exit": code, "stdout": out, "stderr": err} == COMBINE_GOLDEN[key], key
-
-
 def combine_error_cases():
     """Combine runs that end in an error, in both formats: every bad scenario
     under dcr2 and dempster, and under dcr1 with --f (which of the two errors
@@ -552,6 +544,15 @@ class TestValidate:
         )
         assert code == 0
         assert "f-table: OK (121 points)" in out
+
+    def test_files_with_a_byte_order_mark(self, capsys, tmp_path):
+        scenario, table = tmp_path / "bom.scn", tmp_path / "bom.txt"
+        scenario.write_bytes(b"\xef\xbb\xbf" + (SCENARIOS / "abc_fusion.scn").read_bytes())
+        table.write_bytes(b"\xef\xbb\xbf" + (FTABLES / "product_11.txt").read_bytes())
+        code, out, _ = run(capsys, "validate", str(scenario), "--f-table", str(table))
+        assert code == 0
+        assert "f-table: OK (121 points)" in out
+        assert run(capsys, "qvalue", str(scenario)) == run(capsys, "qvalue", FUSION)
 
     @pytest.mark.parametrize(
         "table", ["bad_bound.txt", "missing_corner.txt", "bad_corner.txt", "bad_syntax.txt", "bad_range.txt"]

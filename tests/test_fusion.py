@@ -1023,55 +1023,6 @@ def spread_dnumber(rng: random.Random, frame: Frame, max_focal: int) -> DNumber:
     return DNumber(frame, {m: w * scale for m, w in zip(masks, weights)})
 
 
-class TestForcedCompaction:
-    """With the squeeze threshold at its minimum, the kernel squeezes its
-    lists after every outer row; every step, K and K_D keep their ``repr``."""
-
-    @staticmethod
-    def outcomes(d1, d2, model) -> list[str]:
-        seen = [repr(global_conflict(d1, d2)), repr(residual_conflict(d1, d2, model))]
-        for name, step in RULES.items():
-            try:
-                seen.append(repr(step(d1, d2, model, MINIMUM)))
-            except FusionError as exc:
-                seen.append(f"{name}: {exc!r}")
-        return seen
-
-    def test_seeded_pairs_keep_their_repr(self, forced_compaction):
-        rng = random.Random(1313)
-        cases = []
-        for size in range(1, 13):
-            frame = Frame([f"e{i}" for i in range(size)])
-            for _ in range(3):
-                d1, d2 = spread_dnumber(rng, frame, 80), spread_dnumber(rng, frame, 80)
-                cases.append((d1, d2, random_model(rng, frame)))
-        expected = [self.outcomes(*case) for case in cases]
-        squeezed = forced_compaction()
-        assert [self.outcomes(*case) for case in cases] == expected
-        assert max(squeezed) > 8
-
-    def test_golden_inputs_keep_their_repr(self, forced_compaction):
-        cases = [case[1:] for case in TestClassicalSteps.golden_inputs()]
-        expected = [self.outcomes(*case) for case in cases]
-        squeezed = forced_compaction()
-        assert [self.outcomes(*case) for case in cases] == expected
-        assert squeezed
-
-    def test_cells_are_squeezed_without_disjoint_pairs(self, forced_compaction):
-        # Every focal set holds e0, so no pair is disjoint and every squeeze
-        # is a compaction of the cells.
-        rng = random.Random(17)
-        frame = Frame([f"e{i}" for i in range(4)])
-        d1, d2 = (
-            DNumber(frame, {m: 10.0 ** rng.uniform(-12.0, -1.0) for m in range(1, 16, 2)})
-            for _ in range(2)
-        )
-        expected = repr(classical._products(d1, d2, classical._exclusive))
-        squeezed = forced_compaction()
-        assert repr(classical._products(d1, d2, classical._exclusive)) == expected
-        assert squeezed and min(squeezed) > 8
-
-
 class TestKernelCells:
     """What ``DNumber._from_cells`` takes on trust from the kernel: every cell
     of ``_products`` lies in (0, full_mask] and holds an exact ``float``."""
@@ -1111,8 +1062,8 @@ class TestKernelCells:
 
 
 class TestBareFloatCells:
-    """A cell holds its first product as a bare float and becomes a list at its
-    second.  Weights and degrees are powers of two here, so every product is
+    """A cell holds its first product as a bare float and becomes an array at
+    its second.  Weights and degrees are powers of two here, so every product is
     exact in any order and the oracles agree with the kernel bit for bit."""
 
     A, B, C, D = 1, 2, 4, 8
@@ -1156,9 +1107,9 @@ class TestBareFloatCells:
         assert masses[A] == 2.0**-1060
         assert masses[A | D] == masses[A | C | D] == 2.0**-1071
 
-    def test_lists_from_a_second_product_on_survive_forced_squeezes(self, forced_compaction):
+    def test_arrays_from_a_second_product_on_match_the_oracle(self):
         # Cell {a, b, c} gets one product, three cells get two, and the
-        # single-element cells 24 to 26, which are squeezed after every row.
+        # single-element cells 24 to 26.
         rng = random.Random(14)
         frame = Frame(list("abcd"))
         weights = [
@@ -1171,9 +1122,6 @@ class TestBareFloatCells:
         d1, d2 = DNumber(frame, m1), DNumber(frame, m2)
         expected = self.sorted_repr(brute_dempster(dict(d1.items()), dict(d2.items())))
         assert self.sorted_repr(dempster(d1, d2).masses) == expected
-        squeezed = forced_compaction()
-        assert self.sorted_repr(dempster(d1, d2).masses) == expected
-        assert max(squeezed) > 8
 
     def test_degree_overrides_of_minus_zero_and_one(self):
         A, B, C, D = self.A, self.B, self.C, self.D

@@ -151,6 +151,11 @@ class TestParseErrors:
         assert str(excinfo.value) == f"line {line}, column {column}: {message}"
         assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
+    @pytest.mark.parametrize("name", ["abc_fusion.scn", "abc_overlaps.scn", "high_medium.scn"])
+    def test_a_leading_byte_order_mark_is_skipped(self, name):
+        data = read(SCENARIOS / name)
+        assert parse_scenario(b"\xef\xbb\xbf" + data) == parse_scenario(data)
+
     def test_invalid_utf8(self):
         with pytest.raises(ScenarioSyntaxError, match="^scenario is not valid UTF-8"):
             parse_scenario(b"frame: \xff\xfe\n")
