@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import fsum
+from math import fsum, ldexp
 
 import pytest
 
@@ -16,7 +16,7 @@ from dnumbers import (
 )
 from dnumbers import classical
 from dnumbers.errors import FrameMismatch, IncompleteInput, TotalConflict
-from helpers import brute_conflict, brute_disjunctive
+from helpers import brute_conflict, brute_disjunctive, random_model
 
 RULES = (conjunctive, disjunctive, dempster, yager, dubois_prade)
 
@@ -263,10 +263,79 @@ def exact_sum(values) -> Fraction:
     return Fraction(sum(n << 1075 - d.bit_length() for n, d in ratios), 1 << 1074)
 
 
+def spread_weights(rng: random.Random, masks) -> dict[int, float]:
+    """Weights over 300 decades for ``masks``, about one in twenty a subnormal,
+    so many products round and some underflow."""
+    weights = {m: 10.0 ** rng.uniform(-300.0, 0.0) for m in masks}
+    for m in rng.sample(sorted(weights), len(weights) // 20):
+        weights[m] = ldexp(rng.random(), rng.randint(-1074, -1022))
+    return weights
+
+
+def exact_products(m1, m2, degree_of) -> tuple[dict[int, float], float, float]:
+    """``_products`` by brute force: every pair's products listed per target,
+    each list rounded once from its exact ``Fraction`` sum.  ``degree_of(b, c)``
+    gives the degree of a disjoint pair."""
+    cells: dict[int, list[float]] = {}
+    conflict, disjoint = [], []
+    for b, w1 in m1.items():
+        for c, w2 in m2.items():
+            prod = w1 * w2
+            if b & c:
+                cells.setdefault(b & c, []).append(prod)
+                continue
+            disjoint.append(prod)
+            u = degree_of(b, c)
+            if u < 1.0:
+                conflict.append((1.0 - u) * prod)
+            if u > 0.0:
+                cells.setdefault(b | c, []).append(u * prod)
+    rounded = {a: float(exact_sum(v)) for a, v in cells.items()}
+    return rounded, float(exact_sum(conflict)), float(exact_sum(disjoint))
+
+
+def sorted_repr(result: tuple[dict[int, float], float, float]) -> str:
+    cells, k_d, k = result
+    return repr((sorted(cells.items()), k_d, k))
+
+
 class TestExactSums:
     """The kernel keeps every product it adds as a double and reduces each
     cell, K and K_D with one ``fsum``, so each is the correctly rounded exact
-    sum of its products however many there are."""
+    sum of its products however many there are, and in whatever order they
+    arrive."""
+
+    @staticmethod
+    def operands(seed: int, size: int = 8) -> tuple[dict[int, float], dict[int, float]]:
+        # 60 x 60 focal sets over 8 elements: most of the 255 cells take
+        # several products, a cell's first product stays a bare float and
+        # its second makes it an array.
+        rng = random.Random(seed)
+        full = (1 << size) - 1
+        return tuple(spread_weights(rng, rng.sample(range(1, full + 1), 60)) for _ in range(2))
+
+    @pytest.mark.parametrize("degree", [0.0, 2.0**-60, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_every_cell_k_and_k_d_at_a_constant_degree(self, degree):
+        m1, m2 = self.operands(int(degree * 1000) + 7)
+        expected = exact_products(m1, m2, lambda b, c: degree)
+        assert sorted_repr(classical._products(m1, m2, degree)) == sorted_repr(expected)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_every_cell_k_and_k_d_under_a_model(self, seed):
+        m1, m2 = self.operands(seed)
+        model = random_model(random.Random(seed), Frame([f"e{i}" for i in range(8)]))
+        expected = exact_products(m1, m2, model.degree)
+        got = classical._products(m1, m2, model._degrees_from)
+        assert sorted_repr(got) == sorted_repr(expected)
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_operand_order_changes_no_bit(self, seed):
+        m1, m2 = self.operands(seed)
+        expected = sorted_repr(classical._products(m1, m2, 0.4))
+        rng = random.Random(seed)
+        shuffled = [dict(rng.sample(sorted(m.items()), len(m))) for m in (m1, m2)]
+        assert sorted_repr(classical._products(*shuffled, 0.4)) == expected
+        assert sorted_repr(classical._products(m2, m1, 0.4)) == expected
 
     def test_a_cell_k_and_k_d_of_over_2_17_products_each(self):
         # Every column holds element 0, and so does every odd row: the odd
