@@ -84,7 +84,8 @@ class Frame:
     """An ordered set of distinct element labels; label i maps to bit i.
 
     The label order given at construction is stable and defines the bitmask
-    encoding of every subset of this frame.
+    encoding of every subset of this frame.  Labels must be ``str``, since an
+    int in a subset spelling is read as a bitmask.
     """
 
     __slots__ = ("labels", "_index", "_full")
@@ -99,6 +100,8 @@ class Frame:
             )
         index: dict[str, int] = {}
         for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise TypeError(f"frame labels are str, got {label!r}")
             if label in index:
                 raise DuplicateLabel(f"duplicate frame label {label!r}")
             index[label] = i

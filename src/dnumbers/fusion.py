@@ -81,9 +81,14 @@ class NonExclusivityModel:
     explicit ``overrides`` entry for that unordered subset pair wins.
     Intersecting subsets always have degree 1; that branch cannot be
     configured.
+
+    The model never changes; one slot keeps the ranked form of its degree
+    matrix, never the float rows, filled lazily by the first :meth:`matrix`.
+    A model stays safe to share between threads: concurrent first calls may
+    each build the form, and they build equal ones.
     """
 
-    __slots__ = ("frame", "_pairs", "_elem", "_by_subset")
+    __slots__ = ("frame", "_pairs", "_elem", "_by_subset", "_kept")
 
     def __init__(
         self,
@@ -127,6 +132,7 @@ class NonExclusivityModel:
         self._pairs = elem
         self._elem = tuple(map(tuple, table))
         self._by_subset = by_subset
+        self._kept: _RankedMatrix | None = None
 
     @classmethod
     def exclusive(cls, frame: Frame) -> "NonExclusivityModel":
@@ -197,7 +203,7 @@ class NonExclusivityModel:
 
     def _ranked(self) -> "_RankedMatrix":
         """The degree matrix as the rank bytes of its disjoint cells, without
-        float rows."""
+        float rows; built on the first call and kept from then on."""
         n = self.frame.size
         if n > MAX_MATRIX_FRAME_SIZE:
             raise FrameTooLargeForMatrix(
@@ -205,6 +211,8 @@ class NonExclusivityModel:
                 f"{2 ** n - 1}x{2 ** n - 1} matrix; "
                 f"the cap is {MAX_MATRIX_FRAME_SIZE} elements"
             )
+        if self._kept is not None:
+            return self._kept
         # Every degree of the table that _degree and _degrees_from read, plus
         # 0.0 and 1.0, as one byte: its rank in the sorted distinct values, at
         # most 2 + 66 at the cap.  The table holds no -0.0; its zeros take rank 0.
@@ -239,9 +247,10 @@ class NonExclusivityModel:
                 columns += [*map(up[j].__getitem__, columns)]
             positions.append(tuple(columns[1:]))
             ranks.append(row[1:])
-        return _RankedMatrix(
+        self._kept = _RankedMatrix(
             self.frame, subsets, tuple(positions), tuple(ranks), tuple(values), overrides
         )
+        return self._kept
 
     def __repr__(self) -> str:
         return (

@@ -52,6 +52,7 @@ from .report import fmt_subset
 MAX_SCENARIO_BYTES = 1 << 20
 
 _LABEL = r"[^\s{},:~#]+"
+_LABEL_RE = re.compile(_LABEL)
 _FRAME_LINE = re.compile(r"^\s*frame\s*:\s*(?P<body>.*?)\s*$")
 _DNUMBER_HEADER = re.compile(rf"^\s*dnumber\s+(?P<name>{_LABEL})\s*:\s*$")
 _SECTION_HEADER = re.compile(r"^\s*(?P<section>nonexclusivity|overrides)\s*:\s*$")
@@ -222,7 +223,7 @@ class _Parser:
             col = base + pos + (len(segment) - len(segment.lstrip())) + 1
             if not label:
                 self.fail("empty label", col)
-            if not re.fullmatch(_LABEL, label):
+            if not _LABEL_RE.fullmatch(label):
                 self.fail(f"invalid label {label!r}", col)
             out.append((label, col))
             pos += len(segment) + 1
@@ -335,7 +336,14 @@ def _fmt_number(v: float) -> str:
 
 
 def format_scenario(doc: ScenarioDocument) -> str:
-    """Print a document in canonical form; parsing it back reproduces ``doc``."""
+    """Print a document in canonical form; parsing it back reproduces ``doc``.
+
+    Raises ScenarioSyntaxError, with no line, naming the first frame label or
+    D-number name that the parser would not read back as one label.
+    """
+    for word in dict.fromkeys([*doc.frame, *(named.name for named in doc.dnumbers)]):
+        if not _LABEL_RE.fullmatch(word):
+            raise ScenarioSyntaxError(f"{word!r} cannot be written as a scenario label")
     out = ["frame: " + ", ".join(doc.frame)]
     for named in doc.dnumbers:
         out.append("")

@@ -68,6 +68,12 @@ class TestFrame:
         with pytest.raises(DuplicateLabel):
             Frame(["x", "x"])
 
+    @pytest.mark.parametrize("labels", [[2, 1], ["a", 1], [b"a"], [("a",)], [None]])
+    def test_labels_that_are_not_str_rejected(self, labels):
+        # With Frame([2, 1]), {1: w} is a mask for label 2 and {(1,): w} label 1.
+        with pytest.raises(TypeError, match="frame labels are str"):
+            Frame(labels)
+
     def test_empty_frame_rejected(self):
         with pytest.raises(EmptyFrame):
             Frame([])

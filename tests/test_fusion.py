@@ -400,6 +400,34 @@ class TestMatrix:
             NonExclusivityModel.exclusive(frame).matrix()
 
 
+class TestKeptRankedForm:
+    def test_the_ranked_form_is_built_once(self, overlap_model):
+        assert overlap_model._ranked() is overlap_model._ranked()
+        assert overlap_model.matrix()._ranked is overlap_model.matrix()._ranked
+
+    @pytest.mark.parametrize("size", range(1, 11))
+    def test_repeated_matrices_equal_a_fresh_models(self, size):
+        frame = Frame([f"e{i}" for i in range(size)])
+        model = random_model(random.Random(4800 + size), frame)
+        first, second = model.matrix(), model.matrix()
+        fresh = random_model(random.Random(4800 + size), frame).matrix()
+        fresh_exclusive = fresh.exclusive()
+        for matrix in (first, second):
+            assert matrix.subsets == fresh.subsets
+            assert matrix.rows == fresh.rows
+            exclusive = matrix.exclusive()
+            assert exclusive.rows == fresh_exclusive.rows
+        # Only the ranked form is kept: each call builds its own float rows.
+        assert first._ranked is second._ranked and first.rows is not second.rows
+
+    def test_the_cap_raises_on_every_call(self):
+        model = NonExclusivityModel.exclusive(Frame([f"e{i}" for i in range(13)]))
+        for _ in range(2):
+            with pytest.raises(FrameTooLargeForMatrix):
+                model.matrix()
+        assert model._kept is None
+
+
 class TestAggregators:
     ADMISSIBLE = (PRODUCT, MINIMUM, MAXIMUM, AVERAGE)
 

@@ -226,6 +226,28 @@ class TestRoundTrip:
         doc = parse_scenario("frame: b, a\ndnumber D:\n  {b, a}: 1\n")
         assert doc.dnumbers[0].entries[0].subset == ("a", "b")
 
+    @pytest.mark.parametrize("label", ["a,b", "a b", "{a}", "x#", "a:b", "a~b", "", "a\n"])
+    def test_labels_that_do_not_read_back_are_refused(self, label):
+        # "a,b" would print as "frame: a,b, c" and read back as three labels.
+        doc = ScenarioDocument(frame=(label, "c"), dnumbers=(NamedAssignment("D", ()),))
+        with pytest.raises(ScenarioSyntaxError) as info:
+            format_scenario(doc)
+        assert info.value.line is None and info.value.column is None
+        assert repr(label) in str(info.value)
+
+    def test_dnumber_names_that_do_not_read_back_are_refused(self):
+        entries = (WeightEntry(("a",), 1.0),)
+        doc = ScenarioDocument(
+            frame=("a",), dnumbers=(NamedAssignment("D", entries), NamedAssignment("D 2", entries))
+        )
+        with pytest.raises(ScenarioSyntaxError, match="'D 2'"):
+            format_scenario(doc)
+
+    def test_the_first_label_that_does_not_read_back_is_named(self):
+        doc = ScenarioDocument(frame=("a", "b c", "{d}"), dnumbers=(NamedAssignment("x y", ()),))
+        with pytest.raises(ScenarioSyntaxError, match="'b c'"):
+            format_scenario(doc)
+
     def test_canonical_print_golden(self):
         doc = parse_scenario(read(SCENARIOS / "abc_fusion.scn"))
         golden = (FIXTURES / "golden" / "abc_fusion.canon").read_text()
