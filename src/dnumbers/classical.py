@@ -43,6 +43,11 @@ def _check_pair_budget(m1: Mapping[int, float], m2: Mapping[int, float]) -> None
         )
 
 
+#: A two-slot cell; copying it and storing both products grows a cell at its
+#: second product faster than ``array("d", (old, prod))``.
+_PAIR = array("d", (0.0, 0.0))
+
+
 def _products(
     m1: Mapping[int, float], m2: Mapping[int, float],
     rows: float | Callable[[int], tuple[Sequence[float], Mapping[int, float]]],
@@ -101,7 +106,8 @@ def _products(
             if type(old) is array:
                 old.append(prod)
             elif old is not prod:  # a fresh product is never the float already there
-                cells[cell] = array("d", (old, prod))
+                cells[cell] = new = _PAIR * 1
+                new[0], new[1] = old, prod
         disjoint.fromlist(row_disjoint)
         conflict.fromlist(row_conflict)
     for a, v in cells.items():

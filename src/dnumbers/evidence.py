@@ -45,10 +45,13 @@ SubsetLike = Union[int, str, Iterable[str]]
 
 
 #: Each byte b with its eight bits reversed, then flipped, ``255 - reversed(b)``:
-#: its own inverse; and the offsets of the bytes of weight 2^0, 2^8, 2^16 and
-#: 2^24 in an ``array("I")`` item.
+#: its own inverse; the offsets of the bytes of weight 2^0, 2^8, 2^16 and 2^24
+#: in an ``array("I")`` item; each byte's number of set bits; and the offset of
+#: the last of an item's bytes of weight 2^0, 2^8 and 2^16.
 _FLIPPED_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 _BYTE_AT = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
+_BIT_COUNT = bytes(b.bit_count() for b in range(256))
+_COUNT_AT = max(_BYTE_AT[:3])
 
 
 #: ``bit_indices`` of each value of bytes 0, 1 and 2 of a mask, built by doubling:
@@ -63,21 +66,31 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     return _BITS0[mask & 255] + _BITS1[mask >> 8 & 255] + _BITS2[mask >> 16]
 
 
-def _shuffle(items: array, top: bytes) -> array:
-    """Masks to ``Frame.sort_key`` keys and back: bytes 0-2 of each item swap ends
-    through ``_FLIPPED_BYTE``, and byte 3 is taken from ``top``."""
-    data, out = items.tobytes().translate(_FLIPPED_BYTE), bytearray(4 * len(items))
+def _shuffle(items: bytes, top: bytes) -> array:
+    """Masks to ``Frame.sort_key`` keys and back, as the bytes of an ``array("I")``:
+    bytes 0-2 of each item swap ends through ``_FLIPPED_BYTE``, and byte 3 is
+    taken from ``top``."""
+    data, out = items.translate(_FLIPPED_BYTE), bytearray(len(items))
     b0, b1, b2, b3 = _BYTE_AT
     out[b0::4], out[b1::4], out[b2::4], out[b3::4] = data[b2::4], data[b1::4], data[b0::4], top
     return array("I", out)
 
 
+def _popcounts(items: bytes) -> bytes:
+    """The number of set bits of each item of an ``array("I")``, given as its bytes,
+    whose byte of weight 2^24 is 0."""
+    # Read as one little-endian int, the bytes' bit counts times 0x010101 add
+    # each byte to the two above it; no sum exceeds 24, so nothing carries.
+    lanes = int.from_bytes(items.translate(_BIT_COUNT), "little") * 0x010101
+    return lanes.to_bytes(len(items) + 2, "little")[_COUNT_AT::4]
+
+
 def _canonical(masks: Collection[int]) -> list[int]:
     """``sorted(masks, key=Frame.sort_key)`` without a Python call per mask: the keys,
     below 2^30 so that CPython compares them fast, sort as plain ints."""
-    masks = array("I", masks)
-    keys = array("I", sorted(_shuffle(masks, bytes(map(int.bit_count, masks)))))
-    return _shuffle(keys, bytes(len(keys))).tolist()
+    items = array("I", masks).tobytes()
+    keys = array("I", sorted(_shuffle(items, _popcounts(items)))).tobytes()
+    return _shuffle(keys, bytes(len(keys) // 4)).tolist()
 
 
 class Frame:
@@ -164,8 +177,8 @@ class Frame:
         first.  It is ``_canonical``'s byte transform applied to one mask; a
         mask outside this frame raises ForeignSubset.
         """
-        mask = self.coerce(mask)
-        return _shuffle(array("I", [mask]), bytes([mask.bit_count()]))[0]
+        items = array("I", [self.coerce(mask)]).tobytes()
+        return _shuffle(items, _popcounts(items))[0]
 
     def subsets(self) -> Iterator[int]:
         """All non-empty subsets in canonical order, generated lazily.
@@ -301,8 +314,11 @@ class DNumber:
         """A rule's ``weights`` for its masks ``cells``, all in (0, full_mask], in their
         canonical ``order``.  Weights that are not floats in (0, 1 + EPSILON] go through
         the constructor in the order of ``cells``, so it reports the first one there."""
-        if set(map(type, weights)) == {float} and all(map((0.0).__lt__, weights)) and max(weights) <= 1.0 + EPSILON:
-            return cls.__new__(cls)._fill(frame, order, weights)
+        if set(map(type, weights)) == {float} and min(weights) > 0.0 and max(weights) <= 1.0 + EPSILON:
+            # min and max step over a NaN that is not first; fsum does not.
+            filled = cls.__new__(cls)._fill(frame, order, weights)
+            if filled._q == filled._q:
+                return filled
         weight = dict(zip(order, weights))
         return cls(frame, {a: weight[a] for a in cells})
 
