@@ -336,33 +336,46 @@ def _fmt_number(v: float) -> str:
 
 
 def format_scenario(doc: ScenarioDocument) -> str:
-    """Print a document in canonical form; parsing it back reproduces ``doc``.
+    """Print a document in canonical form; parsing it back reproduces ``doc``, up
+    to the order of the two subsets of an override, which the parser sorts.
 
     Raises ScenarioSyntaxError, with no line, naming the first frame label or
-    D-number name that the parser would not read back as one label.
+    D-number name that the parser would not read back as one label, then the
+    first subset or element pair, in the order printed, that names a label
+    outside the frame or whose labels are not sorted and distinct.
     """
     for word in dict.fromkeys([*doc.frame, *(named.name for named in doc.dnumbers)]):
         if not _LABEL_RE.fullmatch(word):
             raise ScenarioSyntaxError(f"{word!r} cannot be written as a scenario label")
+    known = set(doc.frame)
+
+    def written(labels: tuple[str, ...], what: str) -> tuple[str, ...]:
+        for label in labels:
+            if label not in known:
+                raise ScenarioSyntaxError(f"{what} names {label!r}, which is not in the frame")
+        if list(labels) != sorted(set(labels)):
+            raise ScenarioSyntaxError(
+                f"{what} {labels!r} would not read back as written: its labels are not sorted and distinct"
+            )
+        return labels
+
     out = ["frame: " + ", ".join(doc.frame)]
     for named in doc.dnumbers:
         out.append("")
         out.append(f"dnumber {named.name}:")
         for entry in named.entries:
-            out.append(f"  {fmt_subset(entry.subset)}: {_fmt_number(entry.weight)}")
+            subset = written(entry.subset, f"dnumber {named.name}'s subset")
+            out.append(f"  {fmt_subset(subset)}: {_fmt_number(entry.weight)}")
     if doc.pairs:
         out.append("")
         out.append("nonexclusivity:")
         for pair in doc.pairs:
-            out.append(
-                f"  {pair.elements[0]} ~ {pair.elements[1]}: {_fmt_number(pair.degree)}"
-            )
+            l1, l2 = written(pair.elements, "pair")
+            out.append(f"  {l1} ~ {l2}: {_fmt_number(pair.degree)}")
     if doc.overrides:
         out.append("")
         out.append("overrides:")
         for override in doc.overrides:
-            out.append(
-                f"  {fmt_subset(override.subsets[0])} ~ {fmt_subset(override.subsets[1])}: "
-                f"{_fmt_number(override.degree)}"
-            )
+            s1, s2 = (written(subset, "override subset") for subset in override.subsets)
+            out.append(f"  {fmt_subset(s1)} ~ {fmt_subset(s2)}: {_fmt_number(override.degree)}")
     return "\n".join(out) + "\n"
