@@ -350,22 +350,22 @@ def format_scenario(doc: ScenarioDocument) -> str:
     known = set(doc.frame)
 
     def written(labels: tuple[str, ...], what: str) -> tuple[str, ...]:
+        if known.issuperset(labels) and sorted(set(labels)) == list(labels):
+            return labels
         for label in labels:
             if label not in known:
                 raise ScenarioSyntaxError(f"{what} names {label!r}, which is not in the frame")
-        if list(labels) != sorted(set(labels)):
-            raise ScenarioSyntaxError(
-                f"{what} {labels!r} would not read back as written: its labels are not sorted and distinct"
-            )
-        return labels
+        raise ScenarioSyntaxError(
+            f"{what} {labels!r} would not read back as written: its labels are not sorted and distinct"
+        )
 
     out = ["frame: " + ", ".join(doc.frame)]
     for named in doc.dnumbers:
         out.append("")
         out.append(f"dnumber {named.name}:")
+        what = f"dnumber {named.name}'s subset"
         for entry in named.entries:
-            subset = written(entry.subset, f"dnumber {named.name}'s subset")
-            out.append(f"  {fmt_subset(subset)}: {_fmt_number(entry.weight)}")
+            out.append(f"  {fmt_subset(written(entry.subset, what))}: {_fmt_number(entry.weight)}")
     if doc.pairs:
         out.append("")
         out.append("nonexclusivity:")

@@ -1,11 +1,14 @@
 import random
+import sys
 import time
+from array import array
 from itertools import islice
 
 import pytest
 
 from dnumbers import BeliefSummary, DNumber, Frame
-from dnumbers.evidence import MAX_FRAME_SIZE, _canonical, bit_indices
+from dnumbers import evidence
+from dnumbers.evidence import MAX_FRAME_SIZE, _canonical, _popcounts, bit_indices
 from dnumbers.errors import (
     DuplicateLabel,
     EmptyFrame,
@@ -47,6 +50,20 @@ def loop_bit_indices(mask: int) -> tuple[int, ...]:
 
 def frame_of(size: int) -> Frame:
     return Frame([f"e{i}" for i in range(size)])
+
+
+class Half(float):
+    """A float subclass, such as a numpy scalar."""
+
+
+def outcome(build):
+    """The error type and message ``build()`` raises, or its D number's items,
+    weight types and Q value."""
+    try:
+        d = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(d.items()), [type(w) for _, w in d.items()], d.q_value
 
 
 class TestFrame:
@@ -133,6 +150,30 @@ class TestFrame:
         assert list(map(frame.sort_key, masks)) == list(map(formula_key, masks))
         assert _canonical(masks) == expected
 
+    def test_canonical_order_of_no_masks_is_empty(self):
+        assert _canonical([]) == []
+        assert _canonical({}) == []
+        assert _popcounts(b"") == b""
+
+    def test_canonical_order_counts_every_bit_of_the_largest_mask(self):
+        top = (1 << MAX_FRAME_SIZE) - 1
+        masks = [top, 0, 1 << 23, top ^ 1, 1, top ^ 1 << 23, 0xFF0000, 0xFF, 0xFF00]
+        assert _canonical(masks) == sorted(masks, key=canonical)
+        assert _canonical([top]) == [top]
+        assert frame_of(MAX_FRAME_SIZE).sort_key(top) == formula_key(top) == MAX_FRAME_SIZE << MAX_FRAME_SIZE
+        assert _popcounts(array("I", masks).tobytes()) == bytes(m.bit_count() for m in masks)
+
+    @pytest.mark.parametrize("order", ["little", "big"])
+    def test_popcounts_read_either_byte_order(self, order, monkeypatch):
+        # The items as a host of the other byte order lays them out, read with
+        # that order's offset of the count byte.
+        masks = [0, 1, 0xFFFFFF, 0x800001, 0x00FF00, 0x123456, 0xABCDEF]
+        items = array("I", masks)
+        if order != sys.byteorder:
+            items.byteswap()
+        monkeypatch.setattr(evidence, "_COUNT_AT", 2 if order == "little" else 3)
+        assert _popcounts(items.tobytes()) == bytes(m.bit_count() for m in masks)
+
     @pytest.mark.parametrize("size", [3, MAX_FRAME_SIZE])
     def test_sort_key_rejects_masks_outside_the_frame(self, size):
         frame = frame_of(size)
@@ -206,6 +247,33 @@ class TestDNumber:
         random.Random(10).shuffle(masks)
         d = DNumber(frame, {m: 1.0 / len(masks) for m in masks})
         assert list(d.masses) == sorted(masks, key=canonical)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.25, float("nan"), 0.25],  # min and max step over a NaN that is not first
+            [float("nan"), 0.25, 0.25],
+            [0.25, 0.25, float("nan")],
+            [0.25, Half(0.25), 0.25],
+            [0.25, float("inf"), 0.25],
+            [0.25, float("nan"), float("inf")],
+            [0.25, -0.0, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+    )
+    @pytest.mark.parametrize("cells", [(1, 2, 4), (4, 1, 2)])
+    def test_bulk_results_that_fail_a_check_match_the_constructor(self, weights, cells):
+        # ``cells`` is the kernel's order, in which the constructor meets the weights.
+        frame, order = frame_of(3), [1, 2, 4]
+        weight = dict(zip(order, weights))
+        bulk = outcome(lambda: DNumber._from_cells(frame, cells, order, weights))
+        assert bulk == outcome(lambda: DNumber(frame, {a: weight[a] for a in cells}))
+
+    def test_bulk_results_hold_plain_floats(self):
+        frame = frame_of(3)
+        d = DNumber._from_cells(frame, [4, 1, 2], [1, 2, 4], [0.25, Half(0.25), 0.5])
+        assert list(d.items()) == [(1, 0.25), (2, 0.25), (4, 0.5)]
+        assert {type(w) for _, w in d.items()} == {float}
 
     def test_overflow_rejected(self, abc):
         with pytest.raises(MassOverflow):

@@ -2,6 +2,7 @@ import pytest
 
 from dnumbers import (
     NamedAssignment,
+    OverrideDegree,
     PairDegree,
     ScenarioDocument,
     WeightEntry,
@@ -247,6 +248,60 @@ class TestRoundTrip:
         doc = ScenarioDocument(frame=("a", "b c", "{d}"), dnumbers=(NamedAssignment("x y", ()),))
         with pytest.raises(ScenarioSyntaxError, match="'b c'"):
             format_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                ScenarioDocument(("a", "b"), (NamedAssignment("D", (WeightEntry(("z",), 1.0),)),)),
+                "dnumber D's subset names 'z', which is not in the frame",
+            ),
+            (
+                ScenarioDocument(("a", "b"), pairs=(PairDegree(("a", "z"), 0.5),)),
+                "pair names 'z', which is not in the frame",
+            ),
+            (
+                ScenarioDocument(("a", "b"), overrides=(OverrideDegree((("a",), ("b", "z")), 0.5),)),
+                "override subset names 'z', which is not in the frame",
+            ),
+            (
+                ScenarioDocument(("a", "b"), (NamedAssignment("D", (WeightEntry(("b", "a"), 1.0),)),)),
+                "dnumber D's subset ('b', 'a') would not read back as written",
+            ),
+            (
+                ScenarioDocument(("a", "b"), (NamedAssignment("D", (WeightEntry(("a", "a"), 1.0),)),)),
+                "dnumber D's subset ('a', 'a') would not read back as written",
+            ),
+            (
+                ScenarioDocument(("a", "b"), pairs=(PairDegree(("b", "a"), 0.5),)),
+                "pair ('b', 'a') would not read back as written",
+            ),
+            (
+                ScenarioDocument(("a", "b"), pairs=(PairDegree(("a", "a"), 0.5),)),
+                "pair ('a', 'a') would not read back as written",
+            ),
+            (
+                ScenarioDocument(("a", "b", "c"), overrides=(OverrideDegree((("a",), ("c", "b")), 0.5),)),
+                "override subset ('c', 'b') would not read back as written",
+            ),
+        ],
+    )
+    def test_subsets_and_pairs_that_do_not_read_back_are_refused(self, doc, message):
+        with pytest.raises(ScenarioSyntaxError) as info:
+            format_scenario(doc)
+        assert str(info.value).startswith(message)
+        assert info.value.line is None and info.value.column is None
+
+    def test_an_override_reads_back_with_its_subsets_sorted(self):
+        # An override's degree belongs to the unordered pair, so its subsets
+        # may come in either order; the parser sorts them.
+        override = OverrideDegree((("b",), ("a", "c")), 0.5)
+        doc = ScenarioDocument(("a", "b", "c"), overrides=(override,))
+        printed = format_scenario(doc)
+        assert "  {b} ~ {a, c}: 0.5\n" in printed
+        again = parse_scenario(printed)
+        assert again.overrides == (OverrideDegree((("a", "c"), ("b",)), 0.5),)
+        assert again.build_model().subset_overrides == doc.build_model().subset_overrides
 
     def test_canonical_print_golden(self):
         doc = parse_scenario(read(SCENARIOS / "abc_fusion.scn"))
