@@ -34,15 +34,6 @@ TOTAL_CONFLICT_TOLERANCE = 1e-12
 MAX_FOCAL_PAIRS = 1 << 20
 
 
-def _check_pair_budget(m1: Mapping[int, float], m2: Mapping[int, float]) -> None:
-    pairs = len(m1) * len(m2)
-    if pairs > MAX_FOCAL_PAIRS:
-        raise TooManyFocalPairs(
-            f"{len(m1)} x {len(m2)} focal sets make {pairs} pairs; "
-            f"the budget is {MAX_FOCAL_PAIRS}"
-        )
-
-
 #: A two-slot cell; copying it and storing both products grows a cell at its
 #: second product faster than ``array("d", (old, prod))``.
 _PAIR = array("d", (0.0, 0.0))
@@ -69,7 +60,12 @@ def _products(
     arrays, and then into two ``array("d")`` buffers.  Every array holds 8
     bytes per product and is fsum-reduced once, independent of operand order.
     """
-    _check_pair_budget(m1, m2)
+    pairs = len(m1) * len(m2)
+    if pairs > MAX_FOCAL_PAIRS:
+        raise TooManyFocalPairs(
+            f"{len(m1)} x {len(m2)} focal sets make {pairs} pairs; "
+            f"the budget is {MAX_FOCAL_PAIRS}"
+        )
     cells: dict = {}
     put = cells.setdefault
     conflict, disjoint = array("d"), array("d")

@@ -209,21 +209,20 @@ def _cmd_conflict(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
 def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> Iterator[str]:
     frame = doc.build_frame()
     model = doc.build_model(frame)
-    # The ranks alone, never the float rows: only the distinct values that
-    # some cell holds are formatted, once each, and every row indexes those
-    # strings and is built only as it is written.
+    # The ranks alone, never the float rows: each distinct value is formatted
+    # once and every row indexes those strings as it is written; the human
+    # table sizes its columns by the values that some cell holds.
     matrix = model._ranked()
     if args.kind == "exclusive":
         matrix = matrix.complement()
     labels = [frame.labels_of(mask) for mask in matrix.subsets]
-    shown, overrides = matrix.shown()
     values = matrix.values
     if args.output == "machine":
         import json  # imported here, as human output never needs it
         # The bytes of json.dumps({"kind", "rows", "subsets"}, sort_keys=True,
         # indent=2) + "\n"; labels may need escapes, so json.dumps them.
         kind = "exclusive" if args.kind == "exclusive" else "nonexclusive"
-        table = [repr(v) if r in shown else None for r, v in enumerate(values)]
+        table = list(map(repr, values))
         head = '{\n  "kind": "%s",\n  "rows": [\n' % kind
         rows = (
             (",\n" if k else "") + "    [\n      " + ",\n      ".join(row) + "\n    ]"
@@ -235,6 +234,7 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> Iterator[str]:
         ) + "\n  ]\n}\n"
     else:
         headers = [fmt_subset(subset) for subset in labels]
+        shown, overrides = matrix.shown()
         texts = {r: f"{values[r]:g}" for r in shown}
         width = max(map(len, [*headers, *texts.values(), *map("{:g}".format, overrides)]))
         table = [texts[r].rjust(width) if r in texts else None for r in range(len(values))]

@@ -159,14 +159,6 @@ class NonExclusivityModel:
         m1, m2 = self.frame.coerce(b1), self.frame.coerce(b2)
         if m1 == 0 or m2 == 0:
             raise EmptySubset("non-exclusive degrees are defined for non-empty subsets")
-        return self._degree(m1, m2)
-
-    def exclusive_degree(self, b1: SubsetLike, b2: SubsetLike) -> float:
-        """Exclusive degree: 1 minus the non-exclusive degree."""
-        return 1.0 - self.degree(b1, b2)
-
-    def _degree(self, m1: int, m2: int) -> float:
-        # Trusted path: masks already validated against this frame.
         if m1 & m2:
             return 1.0
         over = self._by_subset.get(m1, _NO_OVERRIDES)
@@ -178,6 +170,10 @@ class NonExclusivityModel:
         # -0.0, so an all-zero maximum reads 0.0.
         elem, columns = self._elem, bit_indices(m2)
         return max([elem[i][j] for i in bit_indices(m1) for j in columns])
+
+    def exclusive_degree(self, b1: SubsetLike, b2: SubsetLike) -> float:
+        """Exclusive degree: 1 minus the non-exclusive degree."""
+        return 1.0 - self.degree(b1, b2)
 
     def _degrees_from(self, b: int) -> tuple[Sequence[float], Mapping[int, float]]:
         """B's row as data: B's reach and B's overrides.
@@ -213,7 +209,7 @@ class NonExclusivityModel:
             )
         if self._kept is not None:
             return self._kept
-        # Every degree of the table that _degree and _degrees_from read, plus
+        # Every degree of the table that degree() and _degrees_from read, plus
         # 0.0 and 1.0, as one byte: its rank in the sorted distinct values, at
         # most 2 + 66 at the cap.  The table holds no -0.0; its zeros take rank 0.
         values = sorted({0.0, 1.0}.union(*self._elem))

@@ -54,14 +54,10 @@ class ReportDocument(Record):
         q_values = diag.get("q_values")
         if q_values:
             lines.append("Q values: " + ", ".join(fmt4(q) for q in q_values))
-        if diag.get("k") is not None:
-            lines.append(f"K = {fmt4(diag['k'])}")
-        if diag.get("k_d") is not None:
-            lines.append(f"K_D = {fmt4(diag['k_d'])}")
-        if diag.get("d_t_total") is not None:
-            lines.append(f"sum of D_t = {fmt4(diag['d_t_total'])}")
-        if diag.get("f_value") is not None:
-            lines.append(f"f(Q1, Q2) = {fmt4(diag['f_value'])}")
+        labels = {"k": "K", "k_d": "K_D", "d_t_total": "sum of D_t", "f_value": "f(Q1, Q2)"}
+        for key, label in labels.items():
+            if diag.get(key) is not None:
+                lines.append(f"{label} = {fmt4(diag[key])}")
         lines.append("combined masses:")
         for subset, weight in self.weights:
             lines.append(f"  {fmt_subset(subset)}: {fmt4(weight)}")

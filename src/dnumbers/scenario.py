@@ -148,7 +148,10 @@ class _Parser:
         self.pairs: dict[tuple[str, str], float] = {}
         self.overrides: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
         self.declared: set[str] = set()  # the section headers read so far
-        self.section: object = None  # None | list[WeightEntry] | "nonexclusivity" | "overrides"
+        # The current section's entry handler; before any header, a refusal.
+        self.section = lambda raw: self.fail(
+            "expected a section header ('dnumber <name>:', 'nonexclusivity:' or 'overrides:')"
+        )
 
     def run(self) -> ScenarioDocument:
         for line_no, raw in enumerate(self.lines, start=1):
@@ -192,23 +195,18 @@ class _Parser:
             name = m.group("name")
             if name in self.dnumbers:
                 self.fail(f"dnumber {name!r} is already declared", m.start("name") + 1)
-            self.section = self.dnumbers[name] = []
+            entries = self.dnumbers[name] = []
+            self.section = lambda raw: self.subset_entry(raw, entries)
             return
         m = _SECTION_HEADER.match(raw)
         if m:
-            self.section = m.group("section")
-            if self.section in self.declared:
-                self.fail(f"the {self.section} section is already declared")
-            self.declared.add(self.section)
+            section = m.group("section")
+            if section in self.declared:
+                self.fail(f"the {section} section is already declared")
+            self.declared.add(section)
+            self.section = self.pair_entry if section == "nonexclusivity" else self.override_entry
             return
-        if self.section is None:
-            self.fail("expected a section header ('dnumber <name>:', 'nonexclusivity:' or 'overrides:')")
-        elif isinstance(self.section, list):
-            self.subset_entry(raw, self.section)
-        elif self.section == "nonexclusivity":
-            self.pair_entry(raw)
-        else:
-            self.override_entry(raw)
+        self.section(raw)
 
     def split_labels(self, body: str, base: int, allow_empty: bool = False):
         """Split a comma-separated label list, reporting each label's column."""

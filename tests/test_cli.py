@@ -187,7 +187,7 @@ class TestCombine:
         monkeypatch.setattr(classical, "MAX_FOCAL_PAIRS", 5)
         code, out, err = run(capsys, "combine", "--rule", "dcr2", FUSION)
         assert code == 2 and out == ""
-        assert err.startswith("error[too-many-focal-pairs]: 3 x 2 focal sets make 6 pairs")
+        assert err == "error[too-many-focal-pairs]: 3 x 2 focal sets make 6 pairs; the budget is 5\n"
 
     def test_f_flag_accepts_long_names(self, capsys):
         _, short, _ = run(capsys, "combine", "--rule", "dcr2", "--f", "min", FUSION)

@@ -75,6 +75,21 @@ class TestParseShippedScenarios:
         doc = parse_scenario("frame: x\ndnumber D:\n  {x}: 1\n")
         assert doc.build().dnumbers["D"].is_complete()
 
+    def test_interleaved_sections_each_keep_their_own_entries(self):
+        doc = parse_scenario(
+            "frame: a, b, c\n"
+            "nonexclusivity:\n  a ~ b: 0.25\n"
+            "dnumber D:\n  {a}: 0.5\n  {b, c}: 0.5\n"
+            "overrides:\n  {a} ~ {b, c}: 0.75\n"
+            "dnumber E:\n  {c}: 1\n"
+        )
+        assert doc.pairs == (PairDegree(("a", "b"), 0.25),)
+        assert doc.dnumbers == (
+            NamedAssignment("D", (WeightEntry(("a",), 0.5), WeightEntry(("b", "c"), 0.5))),
+            NamedAssignment("E", (WeightEntry(("c",), 1.0),)),
+        )
+        assert doc.overrides == (OverrideDegree((("a",), ("b", "c")), 0.75),)
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
