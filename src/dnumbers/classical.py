@@ -59,6 +59,9 @@ def _products(
     discounted-conflict products go into two lists, cheaper to append to than
     arrays, and then into two ``array("d")`` buffers.  Every array holds 8
     bytes per product and is fsum-reduced once, independent of operand order.
+    So the operand with fewer focal sets gives the rows, each of which pays
+    its list set-up, two ``fromlist`` calls and, under a model, one reach row;
+    the budget check before the swap still names the sizes in call order.
     """
     pairs = len(m1) * len(m2)
     if pairs > MAX_FOCAL_PAIRS:
@@ -66,6 +69,8 @@ def _products(
             f"{len(m1)} x {len(m2)} focal sets make {pairs} pairs; "
             f"the budget is {MAX_FOCAL_PAIRS}"
         )
+    if len(m1) > len(m2):
+        m1, m2 = m2, m1
     cells: dict = {}
     put = cells.setdefault
     conflict, disjoint = array("d"), array("d")

@@ -20,6 +20,7 @@ full disk); 141 (128 + SIGPIPE) the reader closed standard output early.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import re
@@ -403,4 +404,7 @@ def main() -> None:
         code = EXIT_BROKEN_PIPE
     if code:  # what a failed stdout still holds would fail again at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # The process is ending: the collections at exit would only scan objects
+    # that teardown frees anyway.  The atexit handlers still run.
+    gc.freeze()
     sys.exit(code)

@@ -337,6 +337,25 @@ class TestExactSums:
         assert sorted_repr(classical._products(*shuffled, 0.4)) == expected
         assert sorted_repr(classical._products(m2, m1, 0.4)) == expected
 
+    @pytest.mark.parametrize("small_first", [False, True], ids=["wide-first", "small-first"])
+    def test_the_operand_with_fewer_focal_sets_gives_the_rows(self, small_first):
+        # A fold's shape: a wide accumulator against a source of 3 focal sets.
+        rng = random.Random(200)
+        frame = Frame([f"e{i}" for i in range(10)])
+        wide = spread_weights(rng, rng.sample(range(1, frame.full_mask + 1), 200))
+        small = spread_weights(rng, [0b1, 0b110, 0b1110000000])
+        model = random_model(rng, frame, zero_prob=0.1)
+        asked = []
+
+        def rows(b):
+            asked.append(b)
+            return model._degrees_from(b)
+
+        operands = (small, wide) if small_first else (wide, small)
+        got = classical._products(*operands, rows)
+        assert asked and set(asked) <= set(small)
+        assert sorted_repr(got) == sorted_repr(exact_products(wide, small, model.degree))
+
     def test_a_cell_k_and_k_d_of_over_2_17_products_each(self):
         # Every column holds element 0, and so does every odd row: the odd
         # rows' 135,000 products all land on the cell {0}, and the even rows'

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -676,6 +677,61 @@ def _child_env(unbuffered: str) -> dict:
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
     return env
+
+
+class TestExit:
+    """``main()`` freezes the heap once its report is out, so the collections
+    at exit scan nothing; ``run_cli`` and the import, which long-lived
+    processes run, freeze nothing, and the atexit handlers still run."""
+
+    @staticmethod
+    def _child(script: str, *argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=_child_env(unbuffered=""), capture_output=True, text=True, timeout=60,
+        )
+
+    def test_main_freezes_the_heap_before_the_atexit_handlers(self, capsys):
+        script = (
+            "import atexit, gc\n"
+            "from dnumbers.cli import main\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            "main()\n"
+        )
+        proc = self._child(script, "qvalue", FUSION)
+        assert proc.returncode == 0 and proc.stderr == ""
+        report, last = proc.stdout.rsplit("frozen ", 1)
+        assert report == run(capsys, "qvalue", FUSION)[1]
+        assert int(last) > 0
+
+    def test_import_and_run_cli_freeze_nothing(self):
+        script = (
+            "import gc, io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import dnumbers.cli\n"
+            "imported = gc.get_freeze_count()\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = dnumbers.cli.run_cli(['qvalue', sys.argv[1]])\n"
+            "print(code, imported, gc.get_freeze_count())\n"
+        )
+        proc = self._child(script, FUSION)
+        assert proc.stdout == "0 0 0\n"
+
+    def test_run_cli_in_process_leaves_the_freeze_count(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, "qvalue", FUSION)
+        assert code == 0 and gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("output", ["human", "machine"])
+    def test_main_prints_the_bytes_of_run_cli(self, capsys, output):
+        argv = ["combine", "--rule", "dcr2", "--output", output, FUSION]
+        code, out, err = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnumbers", *argv],
+            env=_child_env(unbuffered=""), capture_output=True, timeout=60,
+        )
+        assert code == proc.returncode == 0
+        assert proc.stdout == out.encode() and proc.stderr == err.encode() == b""
 
 
 class TestClosedStdout:
