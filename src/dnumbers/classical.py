@@ -18,9 +18,9 @@ is correctly rounded however the doubles are grouped.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable, Mapping, Sequence
 from math import fsum
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
 
 from .errors import FrameMismatch, IncompleteInput, TooManyFocalPairs, TotalConflict
 from .evidence import DNumber, Frame, Record, _canonical, bit_indices

@@ -19,7 +19,6 @@ full disk); 141 (128 + SIGPIPE) the reader closed standard output early.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import os
@@ -28,6 +27,7 @@ import sys
 from collections.abc import Iterator
 from contextlib import redirect_stdout
 from itertools import chain
+from types import SimpleNamespace
 
 from .classical import _products
 from .errors import FusionError
@@ -284,96 +284,139 @@ def _cmd_validate(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
 
 # --- argument parsing -------------------------------------------------------------
 
+#: The scenario positional and ``--output``, which every command takes.
+_IO = {
+    "scenario": {"nargs": "?", "help": "scenario file path, or - for standard input (default)"},
+    "--output": {
+        "choices": ("human", "machine"),
+        "default": "human",
+        "help": "report format (machine = deterministic JSON)",
+    },
+}
+
+#: The arguments of bel and pl.
+_MEASURE = {
+    **_IO,
+    "--source": {"help": "dnumber name (default: first)"},
+    "--subset": {
+        "action": "append",
+        "metavar": "LABELS",
+        "help": "comma-separated labels; repeatable (default: every focal set)",
+    },
+}
+
+#: The CLI's grammar: each command's help text, its ``set_defaults`` values and
+#: the ``add_argument`` keywords of its arguments in order.  ``build_parser``
+#: builds argparse's parser from it, and ``_plain`` reads plain lines by it.
+_COMMANDS = {
+    "combine": ("combine the scenario's D numbers under a rule", {"handler": _cmd_combine}, {
+        **_IO,
+        "--rule": {"required": True, "choices": tuple(RULES)},
+        "--f": {
+            "choices": tuple(AGGREGATORS),
+            "help": "completeness aggregator for dcr2 (default: product)",
+        },
+        "--strategy": {
+            "choices": STRATEGIES,
+            "help": "multi-source strategy for dcr2 with 3+ inputs (default: fold)",
+        },
+    }),
+    "bel": ("belief of subsets under one source", {"handler": _cmd_measure, "measure": "bel"}, _MEASURE),
+    "pl": ("plausibility of subsets under one source", {"handler": _cmd_measure, "measure": "pl"}, _MEASURE),
+    "qvalue": ("degree of information completeness of each source", {"handler": _cmd_qvalue}, _IO),
+    "conflict": ("classical K and residual K_D of the first two sources", {"handler": _cmd_conflict}, _IO),
+    "matrix": ("print the subset-pair degree matrix", {"handler": _cmd_matrix}, {
+        "kind": {
+            "choices": ("expand", "exclusive"),
+            "help": "expand: non-exclusive degrees; exclusive: their complement",
+        },
+        **_IO,
+    }),
+    "validate": ("check a scenario (and optionally an aggregator table)", {"handler": _cmd_validate}, {
+        **_IO,
+        "--f-table": {"help": "path to a 'q1 q2 value' sample table"},
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # imported here, as a plain command line never needs it
+
     parser = argparse.ArgumentParser(
         prog="dnumbers",
         description="Combine D numbers and classical mass assignments from scenario files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p):
-        p.add_argument(
-            "scenario",
-            nargs="?",
-            help="scenario file path, or - for standard input (default)",
-        )
-        p.add_argument(
-            "--output",
-            choices=("human", "machine"),
-            default="human",
-            help="report format (machine = deterministic JSON)",
-        )
-        return p
-
-    def add(name, help_text, **kwargs):
-        return add_io(sub.add_parser(name, help=help_text, **kwargs))
-
-    p = add("combine", "combine the scenario's D numbers under a rule")
-    p.add_argument("--rule", required=True, choices=tuple(RULES))
-    p.add_argument(
-        "--f",
-        choices=tuple(AGGREGATORS),
-        default=None,
-        help="completeness aggregator for dcr2 (default: product)",
-    )
-    p.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default=None,
-        help="multi-source strategy for dcr2 with 3+ inputs (default: fold)",
-    )
-    p.set_defaults(handler=_cmd_combine)
-
-    for measure, help_text in (
-        ("bel", "belief of subsets under one source"),
-        ("pl", "plausibility of subsets under one source"),
-    ):
-        p = add(measure, help_text)
-        p.add_argument("--source", default=None, help="dnumber name (default: first)")
-        p.add_argument(
-            "--subset",
-            action="append",
-            default=None,
-            metavar="LABELS",
-            help="comma-separated labels; repeatable (default: every focal set)",
-        )
-        p.set_defaults(handler=_cmd_measure, measure=measure)
-
-    p = add("qvalue", "degree of information completeness of each source")
-    p.set_defaults(handler=_cmd_qvalue)
-
-    p = add("conflict", "classical K and residual K_D of the first two sources")
-    p.set_defaults(handler=_cmd_conflict)
-
-    p = sub.add_parser("matrix", help="print the subset-pair degree matrix")
-    p.add_argument(
-        "kind",
-        choices=("expand", "exclusive"),
-        help="expand: non-exclusive degrees; exclusive: their complement",
-    )
-    add_io(p)
-    p.set_defaults(handler=_cmd_matrix)
-
-    p = add("validate", "check a scenario (and optionally an aggregator table)")
-    p.add_argument("--f-table", default=None, help="path to a 'q1 q2 value' sample table")
-    p.set_defaults(handler=_cmd_validate)
-
+    for command, (help_text, defaults, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
+        p.set_defaults(**defaults)
     return parser
 
 
-def run_cli(argv: list[str] | None = None) -> int:
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``_parse`` gives a plain command line, without
+    argparse's import, build and parse; None for any other line.
+
+    A plain line is a known command, then its positionals in order and exact
+    long options, each option followed by a separate value that does not start
+    with "-".  Values and positionals lie in their choices, a store option comes
+    at most once, ``--subset`` may repeat, and every required argument is
+    present.  No other token starts with "-" except "-" itself, so ``-h``,
+    ``--``, ``--opt=value`` and abbreviations are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, defaults, arguments = _COMMANDS[argv[0]]
+    values = {name: keywords.get("default") for name, keywords in arguments.items()}
+    positionals = [name for name in arguments if name[0] != "-"]
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            if not positionals:
+                return None
+            name, value = positionals.pop(0), token
+        else:
+            name, value = token, next(tokens, "-")  # a missing value reads as one starting with "-"
+            if name not in arguments or name in given or value[:1] == "-":
+                return None
+        keywords = arguments[name]
+        if value not in keywords.get("choices", (value,)):
+            return None
+        if keywords.get("action") == "append":
+            values[name] = [*(values[name] or ()), value]
+        else:
+            given.add(name)
+            values[name] = value
+    for name, keywords in arguments.items():
+        required = keywords.get("required") if name[0] == "-" else "nargs" not in keywords
+        if required and name not in given:
+            return None
+    dests = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=argv[0], **defaults, **dests)
+
+
+def _parse(argv: list[str]):
+    """argparse's namespace for ``argv``; SystemExit after help or a usage error."""
     parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # Some argparse versions (3.11.7, 3.12.1, 3.13.0) leave the optional scenario
+    # unset once they read `matrix KIND`, so a file named after `--output` is left over.
+    if args.scenario is None and len(extra) == 1 and (extra[0] == "-" or extra[0][:1] != "-"):
+        args.scenario = extra.pop()
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def run_cli(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     code = EXIT_PARSE
     try:
         with redirect_stdout(io.StringIO()) as help_text:  # argparse would drop a failed write
-            args, extra = parser.parse_known_args(argv)
-        # Some argparse versions (3.11.7, 3.12.1, 3.13.0) leave the optional scenario
-        # unset once they read `matrix KIND`, so a file named after `--output` is left over.
-        if args.scenario is None and len(extra) == 1 and (extra[0] == "-" or extra[0][:1] != "-"):
-            args.scenario = extra.pop()
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args = _plain(argv) or _parse(argv)
     except SystemExit as exc:
         if exc.code:
             return int(exc.code)

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from itertools import chain, combinations
 from math import fsum
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     DuplicateLabel,
@@ -41,7 +41,7 @@ MAX_FRAME_SIZE = 24
 
 #: Ways a subset may be spelled in the public API: a ready bitmask, a single
 #: label, or an iterable of labels.
-SubsetLike = Union[int, str, Iterable[str]]
+SubsetLike = int | str | Iterable[str]
 
 
 #: Each byte b with its eight bits reversed, then flipped, ``255 - reversed(b)``:
@@ -272,7 +272,7 @@ class DNumber:
     def __init__(
         self,
         frame: Frame,
-        entries: Union[Mapping[SubsetLike, float], Iterable[tuple[SubsetLike, float]]] = (),
+        entries: Mapping[SubsetLike, float] | Iterable[tuple[SubsetLike, float]] = (),
     ):
         if isinstance(entries, Mapping):
             entries = entries.items()

@@ -13,9 +13,9 @@ rules collapse to Dempster's rule.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from math import fsum
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .classical import (
     TOTAL_CONFLICT_TOLERANCE,
@@ -44,13 +44,10 @@ from .evidence import DNumber, Frame, Record, SubsetLike, _canonical, bit_indice
 #: materialized; degree lookups themselves are lazy and uncapped.
 MAX_MATRIX_FRAME_SIZE = 12
 
-PairDegrees = Union[
-    Mapping[tuple[str, str], float], Iterable[tuple[tuple[str, str], float]]
-]
-OverrideDegrees = Union[
-    Mapping[tuple[SubsetLike, SubsetLike], float],
-    Iterable[tuple[tuple[SubsetLike, SubsetLike], float]],
-]
+PairDegrees = Mapping[tuple[str, str], float] | Iterable[tuple[tuple[str, str], float]]
+OverrideDegrees = (
+    Mapping[tuple[SubsetLike, SubsetLike], float] | Iterable[tuple[tuple[SubsetLike, SubsetLike], float]]
+)
 
 
 def _items(entries) -> Iterable:

@@ -34,8 +34,8 @@ them sorted, which is also how :func:`format_scenario` prints them.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import (
     DuplicatePair,

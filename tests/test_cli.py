@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -617,6 +618,116 @@ class TestExitCodes:
         assert out == build_parser().format_help()
 
 
+#: Each command's positionals and option pairs, from which ``argv_corpus``
+#: builds its lines.  The files need not exist: only the parsing is compared.
+CORPUS_LINES = {
+    "combine": (["f.scn"], [["--rule", "dcr2"], ["--f", "min"], ["--strategy", "fold"], ["--output", "machine"]]),
+    "bel": (["f.scn"], [["--source", "A"], ["--subset", "a,b"], ["--subset", "c"]]),
+    "pl": (["f.scn"], [["--subset", "a"], ["--output", "machine"]]),
+    "qvalue": (["f.scn"], [["--output", "machine"]]),
+    "conflict": (["f.scn"], [["--output", "human"]]),
+    "matrix": (["expand", "f.scn"], [["--output", "machine"]]),
+    "validate": (["f.scn"], [["--f-table", "t.txt"], ["--output", "machine"]]),
+}
+
+#: The command lines of bench/workloads.py's cli-session script.
+CLI_SESSION_LINES = [
+    ["combine", "--rule", "dcr2", "--strategy", "fold", "incomplete.scn", "--output", "machine"],
+    ["combine", "--rule", "dcr2", "--strategy", "average-iterate", "incomplete.scn", "--output", "human"],
+    ["combine", "--rule", "dcr1", "complete.scn", "--output", "machine"],
+    ["combine", "--rule", "yager", "complete.scn", "--output", "human"],
+    ["matrix", "expand", "complete.scn", "--output", "machine"],
+    ["combine", "--rule", "dcr2", "scenarios/abc_fusion.scn", "--output", "human"],
+]
+
+
+def corpus_variants(positionals, options):
+    """The positionals and option pairs as given, then with one change each:
+    an option left out, repeated, written ``--opt=value``, left without its
+    value, given a value starting with "-" or out of its choices, or
+    abbreviated; a positional that is "-", starts with "-" or lies out of its
+    choices; a positional left out or added; ``-h``, ``--`` or an unknown option."""
+    yield positionals, options
+    for k, (flag, value) in enumerate(options):
+        others = options[:k] + options[k + 1:]
+        yield positionals, others
+        yield positionals, options + [[flag, value]]
+        yield positionals, others + [[f"{flag}={value}"], [flag]]
+        for odd in ("-5", "-x", "-", "bogus"):
+            yield positionals, others + [[flag, odd]]
+        if len(flag) > 4:
+            yield positionals, others + [[flag[:4], value]]
+    for k in range(len(positionals)):
+        for odd in ("-", "-5", "bogus"):
+            yield positionals[:k] + [odd] + positionals[k + 1:], options
+    yield positionals[:-1], options
+    yield positionals + ["g.scn"], options
+    for extra in (["-h"], ["--"], ["--bogus"], ["--bogus", "x"]):
+        yield positionals, options + [extra]
+
+
+def argv_corpus() -> list[tuple[str, ...]]:
+    """Each variant of each command's line with its positionals, in order,
+    placed before, between and after its options in every way; then a few
+    lines that name no command."""
+    lines = [(), ("-h",), ("bogus", "f.scn"), ("comb", "--rule", "dcr2", "f.scn"), ("-", "qvalue")]
+    for command, line in CORPUS_LINES.items():
+        for positionals, options in corpus_variants(*line):
+            for cuts in combinations_with_replacement(range(len(options) + 1), len(positionals)):
+                pieces = list(options)
+                for k, cut in reversed(list(enumerate(cuts))):
+                    pieces.insert(cut, [positionals[k]])
+                lines.append((command, *(token for piece in pieces for token in piece)))
+    return list(dict.fromkeys(lines))
+
+
+ARGV_CORPUS = argv_corpus()
+
+
+def argparse_namespace(argv) -> dict | None:
+    """``vars`` of what argparse makes of ``argv`` in ``run_cli``, or None
+    where it prints help or a usage error."""
+    try:
+        return vars(cli._parse(list(argv)))
+    except SystemExit:
+        return None
+
+
+class TestPlainReader:
+    """``run_cli`` reads a plain command line without argparse, into the
+    namespace that argparse would give it; it leaves every other line to argparse."""
+
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+    def test_plain_lines_read_as_argparse_reads_them(self, capsys, argv):
+        plain = cli._plain(list(argv))
+        assert plain is None or vars(plain) == argparse_namespace(argv)
+
+    def test_the_corpus_has_lines_of_each_kind(self, capsys):
+        plain = [argv for argv in ARGV_CORPUS if cli._plain(list(argv)) is not None]
+        left = [argv for argv in ARGV_CORPUS if cli._plain(list(argv)) is None and argparse_namespace(argv)]
+        assert len(ARGV_CORPUS) > 300 and len(plain) > 100 and len(left) > 100
+        assert {argv[0] for argv in plain} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["combine", "--rule", "dcr2", "--rule", "dcr1", FUSION],
+            ["combine", "--rule=dcr2", FUSION],
+            ["combine", "--ru", "dcr2", FUSION],
+            ["combine", "--rule", "dcr2", "--", FUSION],
+            ["combine", "--rule", "dcr2", FUSION, "-h"],
+            ["bel", "--source", "-5", FUSION],
+        ],
+        ids=" ".join,
+    )
+    def test_other_spellings_are_left_to_argparse(self, argv):
+        assert cli._plain(argv) is None
+
+    @pytest.mark.parametrize("argv", CLI_SESSION_LINES, ids=" ".join)
+    def test_cli_session_lines_are_plain(self, argv):
+        assert vars(cli._plain(argv)) == argparse_namespace(argv)
+
+
 class TestStartup:
     """What importing the CLI and printing a human report load, in a fresh
     interpreter; the interpreter's own start-up may load standard modules
@@ -636,22 +747,50 @@ print(" ".join(sorted(imported)))
 print(" ".join(sorted(ran)))
 """
 
-    def test_import_and_human_combine_load_no_json_or_hashlib(self):
+    @staticmethod
+    def _child(*argv: str) -> list[str]:
+        """The lines that a fresh interpreter prints for ``python argv``."""
         src = str(REPO / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, FUSION],
+            [sys.executable, *argv],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             timeout=60,
             check=True,
         )
-        code, imported, ran = proc.stdout.splitlines()
+        return proc.stdout.splitlines()
+
+    def test_import_and_human_combine_load_no_json_or_hashlib(self):
+        code, imported, ran = self._child("-c", self.SCRIPT, FUSION)
         assert code == "0"
         assert "dnumbers.cli" in imported.split()
         assert not {"dataclasses", "inspect", "hashlib", "json"} & set(imported.split())
         assert not {"hashlib", "json"} & set(ran.split())
+
+    def test_plain_combine_loads_no_argparse_or_gettext(self):
+        code, imported, ran = self._child("-c", self.SCRIPT, FUSION)
+        assert code == "0"
+        assert not {"argparse", "gettext"} & {*imported.split(), *ran.split()}
+
+    def test_help_still_loads_argparse_and_prints_its_text(self):
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import dnumbers.cli\n"
+            "on_import = 'argparse' in sys.modules\n"
+            "with redirect_stdout(io.StringIO()) as out:\n"
+            "    code = dnumbers.cli.run_cli(['--help'])\n"
+            "same = out.getvalue() == dnumbers.cli.build_parser().format_help()\n"
+            "print(code, on_import, 'argparse' in sys.modules, same)\n"
+        )
+        assert self._child("-c", script) == ["0 False True True"]
+
+    def test_import_loads_no_typing(self):
+        # Without site, whose .pth files may import typing before the package.
+        script = "import sys, dnumbers.cli; print('typing' in sys.modules)"
+        assert self._child("-S", "-c", script) == ["False"]
 
     def test_machine_output_still_carries_the_scenario_digest(self, capsys):
         code, out, _ = run(capsys, "combine", "--rule", "dcr2", "--output", "machine", FUSION)
