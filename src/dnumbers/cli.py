@@ -157,18 +157,15 @@ def _cmd_measure(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
         masks = [_parse_subset_flag(frame, text) for text in args.subset]
     else:
         masks = list(d.focal_sets())
-    measure = args.measure
-    rows = []
-    for mask in masks:
-        value = d.belief(mask) if measure == "bel" else d.plausibility(mask)
-        rows.append((frame.labels_of(mask), value))
-    label = "Bel" if measure == "bel" else "Pl"
+    measure, label = (d.belief, "Bel") if args.measure == "bel" else (d.plausibility, "Pl")
+    rows = [(frame.labels_of(mask), measure(mask)) for mask in masks]
     note = "" if d.is_complete() else "; incomplete source: raw sums, not classical bounds"
-    lines = [f"source: {source} (Q = {fmt4(d.q_value)}{note})"]
-    for labels, value in rows:
-        lines.append(f"  {label}({fmt_subset(labels)}) = {fmt4(value)}")
+    lines = [
+        f"source: {source} (Q = {fmt4(d.q_value)}{note})",
+        *[f"  {label}({fmt_subset(labels)}) = {fmt4(value)}" for labels, value in rows],
+    ]
     machine = {
-        "measure": measure,
+        "measure": args.measure,
         "source": source,
         "q_value": d.q_value,
         "complete": d.is_complete(),
@@ -210,9 +207,9 @@ def _cmd_conflict(args, doc: ScenarioDocument, raw: bytes) -> list[str]:
 def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> Iterator[str]:
     frame = doc.build_frame()
     model = doc.build_model(frame)
-    # The ranks alone, never the float rows: each distinct value is formatted
-    # once and every row indexes those strings as it is written; the human
-    # table sizes its columns by the values that some cell holds.
+    # The ranks alone, never the float rows: each value, an override's too, is
+    # formatted once and every row indexes those strings as it is written; the
+    # human table formats and sizes its columns by the ranks that some cell shows.
     matrix = model._ranked()
     if args.kind == "exclusive":
         matrix = matrix.complement()
@@ -227,7 +224,7 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> Iterator[str]:
         head = '{\n  "kind": "%s",\n  "rows": [\n' % kind
         rows = (
             (",\n" if k else "") + "    [\n      " + ",\n      ".join(row) + "\n    ]"
-            for k, row in enumerate(matrix.rows_as(table, repr))
+            for k, row in enumerate(matrix.rows_as(table))
         )
         tail = '\n  ],\n  "subsets": [\n' + ",\n".join(
             "    [\n      " + ",\n      ".join(map(json.dumps, subset)) + "\n    ]"
@@ -235,14 +232,13 @@ def _cmd_matrix(args, doc: ScenarioDocument, raw: bytes) -> Iterator[str]:
         ) + "\n  ]\n}\n"
     else:
         headers = [fmt_subset(subset) for subset in labels]
-        shown, overrides = matrix.shown()
-        texts = {r: f"{values[r]:g}" for r in shown}
-        width = max(map(len, [*headers, *texts.values(), *map("{:g}".format, overrides)]))
+        texts = {r: f"{values[r]:g}" for r in matrix.shown()}
+        width = max(map(len, [*headers, *texts.values()]))
         table = [texts[r].rjust(width) if r in texts else None for r in range(len(values))]
         head = " ".join([" " * width] + [h.rjust(width) for h in headers]) + "\n"
         rows = (
             header.rjust(width) + " " + " ".join(row) + "\n"
-            for header, row in zip(headers, matrix.rows_as(table, lambda d: f"{d:g}".rjust(width)))
+            for header, row in zip(headers, matrix.rows_as(table))
         )
         tail = ""
     return chain([head], rows, [tail])

@@ -211,6 +211,7 @@ class NonExclusivityModel:
         # most 2 + 66 at the cap.  The table holds no -0.0; its zeros take rank 0.
         values = sorted({0.0, 1.0}.union(*self._elem))
         rank = {v: r for r, v in enumerate(values)}
+        top = rank[1.0]
         elem = [bytes(map(rank.__getitem__, row)) for row in self._elem]
         # raise_to[r] maps a rank x to max(x, r).
         raise_to = [bytes([r]) * r + bytes(range(r, 256)) for r in range(len(values))]
@@ -222,10 +223,11 @@ class NonExclusivityModel:
             reach += [bytes([x if x > y else y for x, y in zip(r, e)]) for r in reach]
         subsets = tuple(self.frame.subsets())
         position = {m: k for k, m in enumerate(subsets)}
-        overrides = {
-            position[b]: {position[c]: d for c, d in over.items()}
-            for b, over in self._by_subset.items()
-        }
+        # Each override cell gets an entry of its own in values, so a -0.0 keeps its sign.
+        overrides = {}
+        for b, over in self._by_subset.items():
+            overrides[position[b]] = {position[c]: r for r, c in enumerate(over, len(values))}
+            values += over.values()
         # up[j][p]: the position of C plus element j, where p is C's position
         # and -1 the empty set's; read from ``position``, so rows share its ints.
         up = [[position[m | 1 << j] for m in subsets] + [position[1 << j]] for j in range(n)]
@@ -241,7 +243,7 @@ class NonExclusivityModel:
             positions.append(tuple(columns[1:]))
             ranks.append(row[1:])
         self._kept = _RankedMatrix(
-            self.frame, subsets, tuple(positions), tuple(ranks), tuple(values), overrides
+            self.frame, subsets, tuple(positions), tuple(ranks), tuple(values), top, overrides
         )
         return self._kept
 
@@ -271,7 +273,7 @@ class DegreeMatrix(Record):
     @classmethod
     def _complete(cls, ranked: _RankedMatrix) -> "DegreeMatrix":
         """The matrix of ``ranked``, with its float rows."""
-        rows = tuple(ranked.rows_as(ranked.values, float))
+        rows = tuple(ranked.rows_as(ranked.values))
         return cls(ranked.frame, ranked.subsets, rows, ranked)
 
     def exclusive(self) -> "DegreeMatrix":
@@ -283,13 +285,12 @@ class _RankedMatrix(Record):
     """A degree matrix before its float rows: what ``matrix()`` completes and
     the CLI renders.
 
-    Only the cells of disjoint subsets are stored.  Row k keeps, for each
-    non-empty subset C of the complement of ``subsets[k]``, C's canonical
-    column position in ``positions[k]`` and, in ``ranks[k]``, the rank of
-    their degree in the sorted distinct degrees ``values``, one byte per
-    cell.  Every other cell holds the top rank, ``len(values) - 1``, which is
-    degree 1.0.  ``overrides`` holds the model's overrides by row and column
-    position, ``overrides[k][l]``, which win over the ranked cells they cover.
+    Every cell is a rank into ``values``.  Row k keeps, for each non-empty
+    subset C of the complement of ``subsets[k]``, C's canonical column
+    position in ``positions[k]`` and, in ``ranks[k]``, one byte: the rank of
+    their degree among the sorted distinct degrees that open ``values``.
+    Every other cell holds rank ``top``, degree 1.0.  ``overrides[k][l]``, the
+    rank of an override's own entry after those, wins over the cell it covers.
     """
 
     frame: Frame
@@ -297,28 +298,25 @@ class _RankedMatrix(Record):
     positions: tuple[tuple[int, ...], ...]
     ranks: tuple[bytes, ...]
     values: tuple[float, ...]
-    overrides: Mapping[int, Mapping[int, float]]
+    top: int
+    overrides: Mapping[int, Mapping[int, int]]
 
     def complement(self) -> "_RankedMatrix":
-        """The exclusive degrees: the same ranks, ``1 - v`` for each distinct
-        value and ``1 - d`` for each override."""
+        """The exclusive degrees: the same ranks, ``1 - v`` for each value."""
         return _RankedMatrix(
             self.frame,
             self.subsets,
             self.positions,
             self.ranks,
             tuple([1.0 - v for v in self.values]),
-            {
-                b: {c: 1.0 - d for c, d in over.items()}
-                for b, over in self.overrides.items()
-            },
+            self.top,
+            self.overrides,
         )
 
-    def shown(self) -> tuple[set[int], list[float]]:
-        """What the cells of the rows hold: the top rank and the ranks of the
-        disjoint cells that no override covers, and the override of each cell
-        that one covers."""
-        top = len(self.values) - 1
+    def shown(self) -> set[int]:
+        """The ranks that the cells hold: the top rank, the overrides' ranks and
+        the ranks of the disjoint cells that no override covers."""
+        top = self.top
         seen = bytes([top])
         for k, (positions, ranks) in enumerate(zip(self.positions, self.ranks)):
             over = self.overrides.get(k)
@@ -329,20 +327,17 @@ class _RankedMatrix(Record):
             new = ranks.translate(None, seen)
             if new:
                 seen += bytes(set(new))
-        return set(seen), [d for over in self.overrides.values() for d in over.values()]
+        return {*seen, *(r for over in self.overrides.values() for r in over.values())}
 
-    def rows_as(self, table: Sequence, cell: Callable[[float], object]) -> Iterator[tuple]:
-        """Each row, a rank r read as ``table[r]`` and an override d of the
-        row as ``cell(d)``."""
-        top = table[len(self.values) - 1]
+    def rows_as(self, table: Sequence) -> Iterator[tuple]:
+        """Each row, a rank r read as ``table[r]``."""
+        top = table[self.top]
         row = [top] * len(self.subsets)
         for k, (positions, ranks) in enumerate(zip(self.positions, self.ranks)):
             for l, r in zip(positions, ranks):
                 row[l] = table[r]
-            over = self.overrides.get(k)
-            if over:
-                for l, d in over.items():
-                    row[l] = cell(d)
+            for l, r in self.overrides.get(k, _NO_OVERRIDES).items():
+                row[l] = table[r]
             yield tuple(row)
             for l in positions:  # overrides cover only these: the row is all top again
                 row[l] = top
@@ -519,9 +514,7 @@ def mean_assignment(ds: Sequence[DNumber]) -> DNumber:
     if not ds:
         raise ValueError("need at least one D number")
     frame = _one_frame(*ds)
-    focal: set[int] = set()
-    for d in ds:
-        focal.update(d.focal_sets())
+    focal = set().union(*[d.focal_sets() for d in ds])
     n = len(ds)
     return DNumber._from_masks(
         frame, {m: fsum(d.weight(m) for d in ds) / n for m in focal}

@@ -17,7 +17,7 @@ from dnumbers.cli import build_parser, run_cli
 from dnumbers.fusion import RULES, STRATEGIES
 from dnumbers.scenario import MAX_SCENARIO_BYTES
 from conftest import FIXTURES, REPO, SCENARIOS
-from helpers import render_matrix
+from helpers import brute_degree, render_matrix
 
 BAD = FIXTURES / "bad"
 GOLDEN = FIXTURES / "golden"
@@ -474,6 +474,43 @@ class TestMatrix:
         path.write_bytes(text.encode("utf-8"))
         matrix = parse_scenario(text.encode("utf-8")).build_model().matrix()
         for kind, expected in (("expand", matrix), ("exclusive", matrix.exclusive())):
+            for output in ("human", "machine"):
+                code, out, err = run(capsys, "matrix", kind, str(path), "--output", output)
+                assert (code, err) == (0, "")
+                assert out == render_matrix(expected, kind, output)
+
+    def test_more_overrides_than_a_rank_byte_holds(self, capsys, tmp_path):
+        # Every disjoint subset pair of six elements is overridden, the first
+        # with -0.0: 301 overrides, 602 override cells, so most overridden
+        # cells hold a rank past 255.
+        rng = random.Random(5200)
+        labels = [f"e{i}" for i in range(6)]
+        frame = Frame(labels)
+        lines = ["frame: " + ", ".join(labels), "nonexclusivity:"]
+        for k, a in enumerate(labels):
+            lines += [f"  {a} ~ {b}: {rng.random()!r}" for b in labels[k + 1:]]
+        lines.append("overrides:")
+        disjoint = [(b, c) for b in frame.subsets() for c in frame.subsets() if b < c and not b & c]
+        overrides = {pair: rng.random() for pair in disjoint}
+        overrides[disjoint[0]] = -0.0
+        for (b, c), d in overrides.items():
+            subsets = ["{%s}" % ", ".join(frame.labels_of(m)) for m in (b, c)]
+            lines.append(f"  {subsets[0]} ~ {subsets[1]}: {d!r}")
+        text = "\n".join(lines) + "\n"
+        model = parse_scenario(text.encode("utf-8")).build_model()
+        assert len(overrides) == len(model.subset_overrides) == 301
+        pairs = dict(model.element_degrees)
+        matrix = model.matrix()
+        comp = matrix.exclusive()
+        for b, row, comp_row in zip(matrix.subsets, matrix.rows, comp.rows, strict=True):
+            expected = [brute_degree(pairs, overrides, b, c) for c in matrix.subsets]
+            assert list(map(repr, row)) == list(map(repr, expected))
+            assert list(map(repr, comp_row)) == [repr(1.0 - v) for v in expected]
+        b, c = disjoint[0]
+        assert repr(matrix.rows[matrix.subsets.index(b)][matrix.subsets.index(c)]) == "-0.0"
+        path = tmp_path / "matrix.scn"
+        path.write_bytes(text.encode("utf-8"))
+        for kind, expected in (("expand", matrix), ("exclusive", comp)):
             for output in ("human", "machine"):
                 code, out, err = run(capsys, "matrix", kind, str(path), "--output", output)
                 assert (code, err) == (0, "")
